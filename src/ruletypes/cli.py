@@ -15,10 +15,10 @@ import sys
 from typing import Any
 
 from . import checker, oracle, solver
-from .context import validate
+from .context import Context, validate
 from .core import Cond, Conj, Constraint, ConstraintSet, Derivation, Match, Rule, Sub, Substitution
 from .infer import FreshSupply, InferError, infer_rule, init_context
-from .surface import ParseError, build_context, parse, render_instance, resolve_rule
+from .surface import ParseError, RuleDecl, build_context, parse, render_instance, resolve_rule
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +125,105 @@ def _arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(out: list[str], line: str) -> None:
-    out.append(line)
+def _run_rule(args: argparse.Namespace, name: str, ctx: Context, decl: RuleDecl,
+              index: int, entry: dict[str, Any], out: list[str]) -> int:
+    """Check, infer or solve one rule, filling its report entry and text
+    lines; returns the rule's exit code."""
+    rule = resolve_rule(decl, ctx)
+
+    if args.command == "check":
+        outcome = checker.check_rule(ctx, rule)
+        if isinstance(outcome, checker.WellTyped):
+            entry["outcome"] = "well-typed"
+            out.append(f"rule {index}: well-typed")
+            if args.trace:
+                entry["derivation"] = derivation_json(outcome.derivation)
+                out.append(render_derivation(outcome.derivation))
+        else:
+            entry["outcome"] = "error"
+            entry["error"] = {"kind": str(outcome.kind), "path": outcome.path,
+                              "detail": outcome.detail}
+            out.append(f"{name}:{decl.pos}: rule {index}: error {outcome}")
+            return 1
+        return 0
+
+    # infer / solve share the generation step
+    fresh = FreshSupply()
+    gamma = init_context(ctx, rule, fresh)
+    try:
+        result = infer_rule(gamma, rule, fresh)
+    except InferError as exc:
+        entry["outcome"] = "error"
+        entry["error"] = {"kind": str(exc.kind), "path": exc.path, "detail": exc.detail}
+        out.append(f"{name}:{decl.pos}: rule {index}: error {exc}")
+        return 1
+
+    bindings = [f"{n} : {t}" for n, t in list(gamma.var_types.items())
+                + [(f"{n}*", t) for n, t in gamma.star_types.items()]]
+    entry["context"] = ([{"name": n, "type": str(t)} for n, t in gamma.var_types.items()]
+                        + [{"name": f"{n}*", "type": str(t)} for n, t in gamma.star_types.items()])
+    entry["constraints"] = [constraint_json(c) for c in result.constraints]
+
+    if args.command == "infer":
+        out.append(f"rule {index}: Γ = {{{', '.join(bindings)}}}")
+        out.append(f"rule {index}: C = {result.constraints}")
+        if args.trace:
+            entry["derivation"] = derivation_json(result.derivation)
+            out.append(render_derivation(result.derivation))
+        return 0
+
+    code = 0
+    outcome = solver.solve(gamma, result.constraints)
+    if args.trace:
+        entry["derivation"] = derivation_json(result.derivation)
+        out.append(f"rule {index}: C = {result.constraints}")
+        out.append(render_derivation(result.derivation))
+    if isinstance(outcome, solver.Solved):
+        entry["result"] = "solved"
+        entry["substitution"] = subst_json(outcome.subst)
+        out.append(f"rule {index}: solved σ = {outcome.subst}")
+    elif isinstance(outcome, solver.Failed):
+        entry["result"] = "failed"
+        entry["fail_rule"] = outcome.fail_rule
+        entry["witness"] = [constraint_json(c) for c in outcome.witness]
+        witness = ", ".join(str(c) for c in outcome.witness)
+        out.append(f"rule {index}: failed by detection rule ({outcome.fail_rule}) on {witness}")
+        code = 1
+    else:
+        entry["result"] = "stuck"
+        entry["residual"] = [constraint_json(c) for c in outcome.residual]
+        out.append(f"rule {index}: stuck with residual {outcome.residual}")
+        code = 4
+    if args.trace:
+        entry["steps"] = [{"rule": s.rule,
+                           "consumed": [constraint_json(c) for c in s.consumed],
+                           "produced": [constraint_json(c) for c in s.produced],
+                           "bound": [{"var": f"α{v}", "type": str(t)} for v, t in s.bound]}
+                          for s in outcome.trace]
+        out.append(render_trace(outcome.trace))
+
+    if args.command == "solve" and getattr(args, "oracle", False):
+        try:
+            found = oracle.enumerate_solutions(
+                gamma, result.constraints, budget=args.max_enum, limit=1)
+        except oracle.BudgetExceeded as exc:
+            entry["oracle"] = "budget-exceeded"
+            out.append(f"rule {index}: oracle: {exc}")
+            return 5
+        solved = isinstance(outcome, solver.Solved)
+        satisfiable = bool(found)
+        entry["oracle"] = "satisfiable" if satisfiable else "unsatisfiable"
+        if isinstance(outcome, solver.Stuck):
+            out.append(f"rule {index}: oracle: set is "
+                       f"{'satisfiable' if satisfiable else 'unsatisfiable'} (outcome stuck)")
+        elif solved != satisfiable:
+            out.append(f"rule {index}: oracle DISAGREES with the solver "
+                       f"(solver {'solved' if solved else 'failed'}, "
+                       f"enumeration found {'a' if satisfiable else 'no'} solution)")
+            code = 1
+        else:
+            out.append(f"rule {index}: oracle agrees")
+    return code
 
 
 def run(argv: list[str]) -> int:
@@ -148,7 +245,7 @@ def run(argv: list[str]) -> int:
         ctx, rule = oracle.gen_instance(args.seed)
         source = render_instance(ctx, rule)
         if not as_json:
-            _emit(out, source.rstrip("\n"))
+            out.append(source.rstrip("\n"))
     else:
         print("error: provide a file or --seed N", file=sys.stderr)
         return 2
@@ -193,103 +290,21 @@ def run(argv: list[str]) -> int:
     report["rules"] = rule_reports
 
     for index, decl in enumerate(sf.rules, start=1):
-        rule = resolve_rule(decl, ctx)
         entry: dict[str, Any] = {"index": index}
-        rule_reports.append(entry)
-
-        if args.command == "check":
-            outcome = checker.check_rule(ctx, rule)
-            if isinstance(outcome, checker.WellTyped):
-                entry["outcome"] = "well-typed"
-                _emit(out, f"rule {index}: well-typed")
-                if args.trace:
-                    entry["derivation"] = derivation_json(outcome.derivation)
-                    _emit(out, render_derivation(outcome.derivation))
-            else:
-                entry["outcome"] = "error"
-                entry["error"] = {"kind": str(outcome.kind), "path": outcome.path,
-                                  "detail": outcome.detail}
-                _emit(out, f"{name}:{decl.pos}: rule {index}: error {outcome}")
-                codes.append(1)
-            continue
-
-        # infer / solve share the generation step
-        fresh = FreshSupply()
-        gamma = init_context(ctx, rule, fresh)
+        lines: list[str] = []
         try:
-            result = infer_rule(gamma, rule, fresh)
-        except InferError as exc:
-            entry["outcome"] = "error"
-            entry["error"] = {"kind": str(exc.kind), "path": exc.path, "detail": exc.detail}
-            _emit(out, f"{name}:{decl.pos}: rule {index}: error {exc}")
+            codes.append(_run_rule(args, name, ctx, decl, index, entry, lines))
+        except RecursionError:
+            # Terms are walked recursively; a term too deep for the
+            # interpreter's stack is a per-rule error, not a crash.
+            entry = {"index": index, "outcome": "error",
+                     "error": {"kind": "TooDeep", "path": "rule",
+                               "detail": "the rule nests too deeply to process"}}
+            lines = [f"{name}:{decl.pos}: rule {index}: error TooDeep at rule: "
+                     "the rule nests too deeply to process"]
             codes.append(1)
-            continue
-
-        bindings = [f"{n} : {t}" for n, t in list(gamma.var_types.items())
-                    + [(f"{n}*", t) for n, t in gamma.star_types.items()]]
-        entry["context"] = ([{"name": n, "type": str(t)} for n, t in gamma.var_types.items()]
-                            + [{"name": f"{n}*", "type": str(t)} for n, t in gamma.star_types.items()])
-        entry["constraints"] = [constraint_json(c) for c in result.constraints]
-
-        if args.command == "infer":
-            _emit(out, f"rule {index}: Γ = {{{', '.join(bindings)}}}")
-            _emit(out, f"rule {index}: C = {result.constraints}")
-            if args.trace:
-                entry["derivation"] = derivation_json(result.derivation)
-                _emit(out, render_derivation(result.derivation))
-            continue
-
-        outcome = solver.solve(gamma, result.constraints)
-        if args.trace:
-            entry["derivation"] = derivation_json(result.derivation)
-            _emit(out, f"rule {index}: C = {result.constraints}")
-            _emit(out, render_derivation(result.derivation))
-        if isinstance(outcome, solver.Solved):
-            entry["result"] = "solved"
-            entry["substitution"] = subst_json(outcome.subst)
-            _emit(out, f"rule {index}: solved σ = {outcome.subst}")
-        elif isinstance(outcome, solver.Failed):
-            entry["result"] = "failed"
-            entry["fail_rule"] = outcome.fail_rule
-            entry["witness"] = [constraint_json(c) for c in outcome.witness]
-            witness = ", ".join(str(c) for c in outcome.witness)
-            _emit(out, f"rule {index}: failed by detection rule ({outcome.fail_rule}) on {witness}")
-            codes.append(1)
-        else:
-            entry["result"] = "stuck"
-            entry["residual"] = [constraint_json(c) for c in outcome.residual]
-            _emit(out, f"rule {index}: stuck with residual {outcome.residual}")
-            codes.append(4)
-        if args.trace:
-            entry["steps"] = [{"rule": s.rule,
-                               "consumed": [constraint_json(c) for c in s.consumed],
-                               "produced": [constraint_json(c) for c in s.produced],
-                               "bound": [{"var": f"α{v}", "type": str(t)} for v, t in s.bound]}
-                              for s in outcome.trace]
-            _emit(out, render_trace(outcome.trace))
-
-        if args.command == "solve" and getattr(args, "oracle", False):
-            try:
-                found = oracle.enumerate_solutions(
-                    gamma, result.constraints, budget=args.max_enum, limit=1)
-            except oracle.BudgetExceeded as exc:
-                entry["oracle"] = "budget-exceeded"
-                _emit(out, f"rule {index}: oracle: {exc}")
-                codes.append(5)
-                continue
-            solved = isinstance(outcome, solver.Solved)
-            satisfiable = bool(found)
-            entry["oracle"] = "satisfiable" if satisfiable else "unsatisfiable"
-            if isinstance(outcome, solver.Stuck):
-                _emit(out, f"rule {index}: oracle: set is "
-                           f"{'satisfiable' if satisfiable else 'unsatisfiable'} (outcome stuck)")
-            elif solved != satisfiable:
-                _emit(out, f"rule {index}: oracle DISAGREES with the solver "
-                           f"(solver {'solved' if solved else 'failed'}, "
-                           f"enumeration found {'a' if satisfiable else 'no'} solution)")
-                codes.append(1)
-            else:
-                _emit(out, f"rule {index}: oracle agrees")
+        rule_reports.append(entry)
+        out.extend(lines)
 
     if as_json:
         report["exit"] = max(codes)

@@ -194,8 +194,8 @@ class Conj(Cond):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "conds", tuple(self.conds))
-        if len(self.conds) < 1:
-            raise ValueError("empty conjunction")
+        if len(self.conds) < 2:
+            raise ValueError("a conjunction needs at least two conditions")
 
     def __str__(self) -> str:
         return " /\\ ".join(str(c) for c in self.conds)

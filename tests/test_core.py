@@ -15,7 +15,7 @@ from ruletypes import (
     free_type_vars,
     subst_satisfies,
 )
-from ruletypes.core import GroundType, TypeVar
+from ruletypes.core import Conj, GroundType, Match, TypeVar, Var
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,14 @@ def test_wt_never_inside_constraints():
         Eq(WT, a(1))
     with pytest.raises(ValueError):
         Sub(a(1), WT)
+
+
+def test_conjunction_needs_two_conditions():
+    m = Match(Var("v"), Var("v"), None)
+    assert Conj([m, m]).conds == (m, m)
+    for conds in ([], [m]):
+        with pytest.raises(ValueError):
+            Conj(conds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,108 @@
+"""Differential test: the indexed resolution engine against the reference
+engine that rescans every constraint pair at every step.
+
+Outcomes compare with ``==``: the verdict, the full trace (rule, consumed,
+produced, binding and ``degree_after`` of every step), the failure witness,
+the substitution and the residual.
+"""
+
+import pathlib
+
+import pytest
+
+import reference_solver as reference
+from ruletypes.infer import FreshSupply, infer_rule, init_context
+from ruletypes.oracle import erase_annotations, gen_constraints, strip_typings
+from ruletypes.solver import Failed, Solved, Stuck, detect_failure, solve
+from ruletypes.surface import build_context, parse, resolve_rule
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def assert_engines_agree(ctx, constraints):
+    items = list(constraints)
+    assert detect_failure(ctx, items) == reference.detect_failure(ctx, items)
+    assert detect_failure(ctx, items[::-1]) == reference.detect_failure(ctx, items[::-1])
+    outcome = solve(ctx, items)
+    assert outcome == reference.solve(ctx, items)
+    return outcome
+
+
+def inferred_sets(source: str, checking_form: bool):
+    """(Γ, C) for every rule of a source file, in inference form."""
+    sf = parse(source)
+    ctx = build_context(sf)
+    bare = strip_typings(ctx) if checking_form else ctx
+    for decl in sf.rules:
+        rule = resolve_rule(decl, ctx)
+        if checking_form:
+            rule = erase_annotations(rule)
+        fresh = FreshSupply()
+        gamma = init_context(bare, rule, fresh)
+        yield gamma, infer_rule(gamma, rule, fresh).constraints
+
+
+def test_random_constraint_sets():
+    verdicts = {Solved: 0, Failed: 0, Stuck: 0}
+    for seed in range(5000):
+        ctx, constraints = gen_constraints(seed)
+        verdicts[type(assert_engines_agree(ctx, constraints))] += 1
+    assert all(verdicts.values()), verdicts
+
+
+@pytest.mark.parametrize("path", sorted((FIXTURES / "corpus").glob("seed_*.rules")),
+                         ids=lambda p: p.stem)
+def test_corpus_rules(path):
+    for gamma, constraints in inferred_sets(path.read_text(encoding="utf-8"), True):
+        assert_engines_agree(gamma, constraints)
+
+
+def test_example4():
+    source = (FIXTURES / "example4.rules").read_text(encoding="utf-8")
+    (gamma, constraints), = inferred_sets(source, False)
+    assert isinstance(assert_engines_agree(gamma, constraints), Solved)
+
+
+# ---------------------------------------------------------------------------
+# wide list patterns: one variadic L(...) with star variables, variables,
+# constants, applications and nested L and M lists
+
+LIST_SIGNATURE = """\
+sort Z
+sort N <: Z
+sort E
+op c : -> N
+op s : Z -> N
+op f : Z Z -> Z
+op g : N -> Z
+vop L : Z* -> E
+vop M : N* -> Z
+"""
+
+ELEMENTS = (
+    "w{k}*", "L(x{k},c())", "x{k}", "c()", "s(x{k})", "f(x{k},s(c()))",
+    "g(s(y{k}))", "M(c(),m{k}*)", "s(f(g(s(x{k})),M(s(x{k}),y{k})))", "w{j}*",
+)
+
+
+def wide_rule(width: int, element: str | None = None) -> str:
+    elems = [ELEMENTS[i % len(ELEMENTS)].format(k=i % 5, j=(i + 2) % 3) for i in range(width)]
+    if element is not None:
+        elems[width // 2] = element
+    return LIST_SIGNATURE + f"rule L({','.join(elems)}) << [?] t -> (t)\n"
+
+
+@pytest.mark.parametrize("width", [16, 36])
+def test_wide_lists_solve(width):
+    (gamma, constraints), = inferred_sets(wide_rule(width), False)
+    assert isinstance(assert_engines_agree(gamma, constraints), Solved)
+
+
+@pytest.mark.parametrize("width, element", [
+    (16, "M(f(c(),c()))"),       # a Z element in an N* list
+    (36, "g(f(x1,x1))"),         # a Z argument where N is expected
+    (36, "M(y1,m0*,L(c()))"),    # an E element in an N* list
+])
+def test_wide_lists_fail(width, element):
+    (gamma, constraints), = inferred_sets(wide_rule(width, element), False)
+    assert isinstance(assert_engines_agree(gamma, constraints), Failed)
