@@ -2,7 +2,7 @@
 algorithm.
 
 Each term gets its structural derivation first (leaf rules, operator rules,
-or the list rules that peel the last argument), then at most one
+or the chain of list rules, one step per argument), then at most one
 decoration-erasing step and one subtype step coerce the structural type to
 the expected one; the coercion rules are applied only when no structural
 rule fits, which is what makes the algorithm deterministic.
@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from typing import Union
 
-from .context import Context
+from .context import ELEM, STAR, Context
 from .core import (
     Cond,
     Conj,
@@ -125,32 +125,23 @@ def _structural(ctx: Context, e: Term, path: str, star_ok: bool = False) -> Deri
         if rank is None:
             _fail(ErrKind.NO_RANK, path, f"variadic operator {e.op} has no declared rank")
         codomain = rank.codomain
-        if not e.args:
-            return Derivation("T-Empty", e, GroundType(codomain))
-        last = e.args[-1]
-        spine = ListApp(e.op, e.args[:-1])
-        last_path = f"{path}.arg[{len(e.args) - 1}]"
-        if isinstance(last, StarVar):
-            declared = _declared_dsort(ctx, last, last_path)
-            if declared != codomain:
-                _fail(ErrKind.EXPECTED_LIST_TYPE, last_path,
-                      f"star variable {last} is typed {declared}, but {e.op} builds {codomain}")
-            premises = (
-                _check(ctx, spine, codomain, path),
-                _check(ctx, last, codomain, last_path, star_ok=True),
-            )
-            return Derivation("T-Merge", e, GroundType(codomain), premises)
-        if ctx.sortof(last) == codomain:
-            premises = (
-                _check(ctx, spine, codomain, path),
-                _check(ctx, last, codomain, last_path),
-            )
-            return Derivation("T-Merge", e, GroundType(codomain), premises)
-        premises = (
-            _check(ctx, spine, codomain, path),
-            _check(ctx, last, rank.elem, last_path),
-        )
-        return Derivation("T-Elem", e, GroundType(codomain), premises)
+        steps = list(enumerate(ctx.list_steps(e)))
+        # Every star's declared type is checked before any element, rightmost
+        # first: T-Merge checks its own star before its spine premise.
+        for i, (_, arg, step) in reversed(steps):
+            if step == STAR:
+                arg_path = f"{path}.arg[{i}]"
+                declared = _declared_dsort(ctx, arg, arg_path)
+                if declared != codomain:
+                    _fail(ErrKind.EXPECTED_LIST_TYPE, arg_path,
+                          f"star variable {arg} is typed {declared}, but {e.op} builds {codomain}")
+        d = Derivation("T-Empty", ListApp(e.op), GroundType(codomain))
+        for i, (prefix, arg, step) in steps:
+            expected = rank.elem if step == ELEM else codomain
+            premise = _check(ctx, arg, expected, f"{path}.arg[{i}]", star_ok=True)
+            d = Derivation("T-Elem" if step == ELEM else "T-Merge", prefix, GroundType(codomain),
+                           (d, premise))
+        return d
 
     raise TypeError(f"unexpected term {e!r}")
 
@@ -223,75 +214,6 @@ def check_rule(ctx: Context, r: Rule) -> CheckOutcome:
             if expected is None:
                 _fail(ErrKind.UNDECLARED_VARIABLE, path, f"{action} has no declared type")
             premises.append(_check(ctx, action, expected, path))
-        return WellTyped(Derivation("T-Rule", r, WT, tuple(premises)))
-    except _Failure as f:
-        return f.err
-
-
-# ---------------------------------------------------------------------------
-# Baseline system (no subtyping, no decorations, no lists)
-
-def _simple_term(ctx: Context, e: Term, expected: DecoratedSort, path: str) -> Derivation:
-    if isinstance(e, StarVar):
-        _fail(ErrKind.STAR_OUTSIDE_LIST, path, "star variables are outside the simple fragment")
-    if isinstance(e, ListApp):
-        _fail(ErrKind.NO_RANK, path, f"variadic operator {e.op} is outside the simple fragment")
-
-    if isinstance(e, Var):
-        declared = _declared_dsort(ctx, e, path)
-        if declared.sort != expected.sort:
-            _fail(ErrKind.NOT_SUBTYPE, path, f"{e} has sort {declared.sort}, expected {expected.sort}")
-        return Derivation("T-Var", e, GroundType(DecoratedSort(declared.sort)))
-
-    if isinstance(e, SynApp):
-        rank = ctx.syn_ranks.get(e.op)
-        if rank is None:
-            _fail(ErrKind.NO_RANK, path, f"operator {e.op} has no declared rank")
-        _reject_star_args(e, path)
-        if len(e.args) != len(rank.domain):
-            _fail(ErrKind.ARITY_MISMATCH, path,
-                  f"{e.op} expects {len(rank.domain)} arguments, got {len(e.args)}")
-        if rank.codomain.sort != expected.sort:
-            _fail(ErrKind.NOT_SUBTYPE, path,
-                  f"{e.op} builds sort {rank.codomain.sort}, expected {expected.sort}")
-        premises = tuple(
-            _simple_term(ctx, arg, rank.domain[i], f"{path}.arg[{i}]")
-            for i, arg in enumerate(e.args)
-        )
-        return Derivation("T-Fun", e, GroundType(DecoratedSort(rank.codomain.sort)), premises)
-
-    raise TypeError(f"unexpected term {e!r}")
-
-
-def _simple_cond(ctx: Context, c: Cond, path: str) -> Derivation:
-    if isinstance(c, Match):
-        if not isinstance(c.at, GroundType):
-            raise ValueError(f"checking needs a ground match annotation at {path}, got {c.at}")
-        at = DecoratedSort(c.at.dsort.sort)
-        premises = (
-            _simple_term(ctx, c.pattern, at, f"{path}.pattern"),
-            _simple_term(ctx, c.subject, at, f"{path}.subject"),
-        )
-        return Derivation("T-Match", c, WT, premises)
-    if isinstance(c, Conj):
-        premises = tuple(
-            _simple_cond(ctx, member, f"{path}[{i}]") for i, member in enumerate(c.conds)
-        )
-        return Derivation("T-Conj", c, WT, premises)
-    raise TypeError(f"unexpected condition {c!r}")
-
-
-def check_simple(ctx: Context, r: Rule) -> CheckOutcome:
-    """The baseline checking system: plain many-sorted checking with exact
-    sort equality, used for differential testing of the common fragment."""
-    try:
-        premises = [_simple_cond(ctx, r.cond, "cond")]
-        for i, action in enumerate(r.actions):
-            path = f"action[{i}]"
-            expected = ctx.sortof(action)
-            if expected is None:
-                _fail(ErrKind.UNDECLARED_VARIABLE, path, f"{action} has no declared type")
-            premises.append(_simple_term(ctx, action, expected, path))
         return WellTyped(Derivation("T-Rule", r, WT, tuple(premises)))
     except _Failure as f:
         return f.err

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from typing import Any
 
 from . import checker, oracle, solver
@@ -29,37 +30,35 @@ def _judgment(d: Derivation) -> str:
     return f"{subject} : {d.type}"
 
 
-def _new_constraints(d: Derivation) -> list[Constraint]:
-    if d.constraints is None:
-        return []
-    inherited: set[Constraint] = set()
-    for p in d.premises:
-        if p.constraints is not None:
-            inherited |= set(p.constraints)
-    return [c for c in d.constraints if c not in inherited]
+def _judgment_constraints(d: Derivation) -> dict[int, ConstraintSet]:
+    """The constraint set of every inference judgment in ``d``, keyed by node
+    id: its premises' sets, then the node's own constraints."""
+    sets: dict[int, ConstraintSet] = {}
+    for node in reversed(list(d.walk())):  # every node after its premises
+        if node.constraints is not None:
+            sets[id(node)] = ConstraintSet(chain(
+                *(sets[id(p)] for p in node.premises), node.constraints))
+    return sets
 
 
 def render_derivation(d: Derivation) -> str:
     """One judgment per line, two spaces of indent per premise depth, the
-    rule label right-aligned after the widest judgment."""
-    rows: list[tuple[int, Derivation]] = []
-
-    def collect(node: Derivation, depth: int) -> None:
-        rows.append((depth, node))
-        for p in node.premises:
-            collect(p, depth + 1)
-
-    collect(d, 0)
-    bodies = []
-    for depth, node in rows:
+    rule label right-aligned after the widest judgment; an inference
+    judgment also lists its own constraints that no premise's set has."""
+    sets = _judgment_constraints(d)
+    rows: list[tuple[str, str]] = []
+    stack = [(0, d)]
+    while stack:
+        depth, node = stack.pop()
         body = "  " * depth + _judgment(node)
         if node.constraints is not None:
-            new = _new_constraints(node)
+            inherited = set(chain(*(sets[id(p)] for p in node.premises)))
+            new = [c for c in node.constraints if c not in inherited]
             body += " • {" + ", ".join(str(c) for c in new) + "}"
-        bodies.append(body)
-    width = max(len(b) for b in bodies)
-    return "\n".join(f"{body:<{width}}  [{node.rule}]"
-                     for body, (_, node) in zip(bodies, rows))
+        rows.append((body, node.rule))
+        stack.extend((depth + 1, p) for p in reversed(node.premises))
+    width = max(len(body) for body, _ in rows)
+    return "\n".join(f"{body:<{width}}  [{rule}]" for body, rule in rows)
 
 
 def render_trace(steps: tuple[solver.TraceStep, ...]) -> str:
@@ -84,11 +83,16 @@ def constraint_json(c: Constraint) -> dict[str, str]:
 
 
 def derivation_json(d: Derivation) -> dict[str, Any]:
-    conclusion: dict[str, Any] = {"subject": str(d.subject), "type": str(d.type)}
-    if d.constraints is not None:
-        conclusion["constraints"] = [constraint_json(c) for c in d.constraints]
-    return {"rule": d.rule, "conclusion": conclusion,
-            "premises": [derivation_json(p) for p in d.premises]}
+    sets = _judgment_constraints(d)
+
+    def node_json(node: Derivation) -> dict[str, Any]:
+        conclusion: dict[str, Any] = {"subject": str(node.subject), "type": str(node.type)}
+        if node.constraints is not None:
+            conclusion["constraints"] = [constraint_json(c) for c in sets[id(node)]]
+        return {"rule": node.rule, "conclusion": conclusion,
+                "premises": [node_json(p) for p in node.premises]}
+
+    return node_json(d)
 
 
 def subst_json(s: Substitution) -> list[dict[str, str]]:

@@ -9,7 +9,8 @@ once and cached, so a validated context can be shared across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Union
 
 from .core import (
     ANY,
@@ -79,6 +80,11 @@ class VariadicRank:
 
 
 Rank = Union[SynRank, VariadicRank]
+
+# The list rules' step for one argument of a variadic application.
+STAR = "Star"    # a star variable, spliced in at the list type
+MERGE = "Merge"  # an argument declared at the operator's own list type
+ELEM = "Elem"    # any other argument, one element of the element sort
 
 
 @dataclass(frozen=True)
@@ -167,19 +173,19 @@ class Context:
 
     @property
     def syn_ranks(self) -> Mapping[str, SynRank]:
-        return dict(self._syn_ranks)
+        return MappingProxyType(self._syn_ranks)
 
     @property
     def var_ranks(self) -> Mapping[str, VariadicRank]:
-        return dict(self._var_ranks)
+        return MappingProxyType(self._var_ranks)
 
     @property
     def var_types(self) -> Mapping[str, TypeTerm]:
-        return dict(self._var_types)
+        return MappingProxyType(self._var_types)
 
     @property
     def star_types(self) -> Mapping[str, TypeTerm]:
-        return dict(self._star_types)
+        return MappingProxyType(self._star_types)
 
     def _chain(self, s: Sort) -> tuple[Sort, ...]:
         # Ancestor chain, self first; guards against cycles and multiple
@@ -242,6 +248,21 @@ class Context:
             rank = self._var_ranks.get(e.op)
             return GroundType(rank.codomain) if rank else None
         return None
+
+    def list_steps(self, e: ListApp) -> Iterator[tuple[ListApp, Term, str]]:
+        """The list rules' chain for ``e`` after the empty list: for each
+        argument, left to right, the prefix application it completes, the
+        argument, and its step (``STAR``, ``MERGE`` or ``ELEM``).  The
+        operator of ``e`` must have a rank."""
+        codomain = self._var_ranks[e.op].codomain
+        for i, arg in enumerate(e.args):
+            if isinstance(arg, StarVar):
+                step = STAR
+            elif self.sortof(arg) == codomain:
+                step = MERGE
+            else:
+                step = ELEM
+            yield ListApp(e.op, e.args[:i + 1]), arg, step
 
 
 def validate(ctx: Context) -> list[Violation]:

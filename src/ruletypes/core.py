@@ -417,7 +417,8 @@ class Derivation:
     """One applied rule instance: label, concluded judgment, premises.
 
     Checking derivations carry ``constraints=None``; inference derivations
-    carry the full constraint set of their subtree.
+    carry only the constraints their own rule emits.  A judgment's full
+    constraint set is its premises' sets followed by those.
     """
 
     rule: str
@@ -432,6 +433,9 @@ class Derivation:
             raise ValueError(f"unknown rule label {self.rule!r}")
 
     def walk(self) -> Iterator["Derivation"]:
-        yield self
-        for p in self.premises:
-            yield from p.walk()
+        """Every node, in pre-order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.premises))

@@ -2,10 +2,10 @@
 variables, and emits the equality/subtype constraints whose solutions are
 exactly the valid typings.
 
-List applications thread one spine variable through their whole spine: the
-premise for the leading sublist, and for a trailing star variable or
-same-operator list, concludes at the same variable as the application
-itself, so no extra equalities are emitted for the sharing.
+List applications thread one spine variable through their whole chain of
+list rules: every prefix, and every star variable or same-operator list
+merged into it, concludes at the same variable as the application itself,
+so no extra equalities are emitted for the sharing.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checker import ErrKind
-from .context import Context
+from .context import ELEM, Context
 from .core import (
     Cond,
     Conj,
@@ -136,23 +136,28 @@ def _infer_term(
     e: Term,
     fresh: FreshSupply,
     path: str,
+    out: list[Constraint],
     pin: TypeVar | None = None,
-) -> tuple[TypeVar, list[Constraint], Derivation]:
+) -> tuple[TypeVar, Derivation]:
+    # Appends the subtree's constraints to ``out`` in post-order; each node
+    # keeps only the constraints its own rule emits.
     if isinstance(e, Var):
         binding = ctx.var_types.get(e.name)
         if binding is None:
             raise InferError(ErrKind.UNDECLARED_VARIABLE, path, f"{e} has no typing")
         alpha = pin or fresh.fresh()
-        constraints = [Eq(alpha, binding)]
-        return alpha, constraints, Derivation("CT-Var", e, alpha, (), ConstraintSet(constraints))
+        own = [Eq(alpha, binding)]
+        out.extend(own)
+        return alpha, Derivation("CT-Var", e, alpha, (), ConstraintSet(own))
 
     if isinstance(e, StarVar):
         binding = ctx.star_types.get(e.name)
         if binding is None:
             raise InferError(ErrKind.UNDECLARED_VARIABLE, path, f"{e} has no typing")
         alpha = pin or fresh.fresh()
-        constraints = [Eq(alpha, binding)]
-        return alpha, constraints, Derivation("CT-SVar", e, alpha, (), ConstraintSet(constraints))
+        own = [Eq(alpha, binding)]
+        out.extend(own)
+        return alpha, Derivation("CT-SVar", e, alpha, (), ConstraintSet(own))
 
     if isinstance(e, SynApp):
         rank = ctx.syn_ranks.get(e.op)
@@ -166,96 +171,65 @@ def _infer_term(
             raise InferError(ErrKind.ARITY_MISMATCH, path,
                              f"{e.op} expects {len(rank.domain)} arguments, got {len(e.args)}")
         alpha = pin or fresh.fresh()
-        constraints: list[Constraint] = []
         premises = []
-        arg_vars = []
+        own = [Eq(alpha, GroundType(rank.codomain))]
         for i, arg in enumerate(e.args):
-            av, ac, ad = _infer_term(ctx, arg, fresh, f"{path}.arg[{i}]")
-            arg_vars.append(av)
-            constraints.extend(ac)
+            av, ad = _infer_term(ctx, arg, fresh, f"{path}.arg[{i}]", out)
             premises.append(ad)
-        constraints.append(Eq(alpha, GroundType(rank.codomain)))
-        for i, av in enumerate(arg_vars):
-            constraints.append(Sub(av, GroundType(rank.domain[i])))
-        return alpha, constraints, Derivation("CT-Fun", e, alpha, tuple(premises), ConstraintSet(constraints))
+            own.append(Sub(av, GroundType(rank.domain[i])))
+        out.extend(own)
+        return alpha, Derivation("CT-Fun", e, alpha, tuple(premises), ConstraintSet(own))
 
     if isinstance(e, ListApp):
         rank = ctx.var_ranks.get(e.op)
         if rank is None:
             raise InferError(ErrKind.NO_RANK, path, f"variadic operator {e.op} has no declared rank")
-        codomain = GroundType(rank.codomain)
         alpha = pin or fresh.fresh()
-
-        if not e.args:
-            constraints = [Eq(alpha, codomain)]
-            return alpha, constraints, Derivation("CT-Empty", e, alpha, (), ConstraintSet(constraints))
-
-        last = e.args[-1]
-        spine = ListApp(e.op, e.args[:-1])
-        last_path = f"{path}.arg[{len(e.args) - 1}]"
-        _, spine_constraints, spine_d = _infer_term(ctx, spine, fresh, path, pin=alpha)
-
-        if isinstance(last, StarVar):
-            # The star premise concludes at the spine's own variable.
-            _, last_constraints, last_d = _infer_term(ctx, last, fresh, last_path, pin=alpha)
-            constraints = spine_constraints + last_constraints + [Eq(alpha, codomain)]
-            return alpha, constraints, Derivation(
-                "CT-Star", e, alpha, (spine_d, last_d), ConstraintSet(constraints))
-
-        if ctx.sortof(last) == rank.codomain:
-            _, last_constraints, last_d = _infer_term(ctx, last, fresh, last_path, pin=alpha)
-            constraints = spine_constraints + last_constraints + [Eq(alpha, codomain)]
-            return alpha, constraints, Derivation(
-                "CT-Merge", e, alpha, (spine_d, last_d), ConstraintSet(constraints))
-
-        last_var, last_constraints, last_d = _infer_term(ctx, last, fresh, last_path)
-        constraints = spine_constraints + last_constraints + [
-            Eq(alpha, codomain),
-            Sub(last_var, GroundType(rank.elem)),
-        ]
-        return alpha, constraints, Derivation(
-            "CT-Elem", e, alpha, (spine_d, last_d), ConstraintSet(constraints))
+        spine = Eq(alpha, GroundType(rank.codomain))
+        out.append(spine)
+        d = Derivation("CT-Empty", ListApp(e.op), alpha, (), ConstraintSet([spine]))
+        for i, (prefix, arg, step) in enumerate(ctx.list_steps(e)):
+            # A star or merged list concludes at the spine's own variable.
+            av, ad = _infer_term(ctx, arg, fresh, f"{path}.arg[{i}]", out,
+                                 pin=None if step == ELEM else alpha)
+            own = [spine, Sub(av, GroundType(rank.elem))] if step == ELEM else [spine]
+            out.extend(own)
+            d = Derivation(f"CT-{step}", prefix, alpha, (d, ad), ConstraintSet(own))
+        return alpha, d
 
     raise TypeError(f"unexpected term {e!r}")
 
 
 def infer_term(ctx: Context, e: Term, fresh: FreshSupply) -> InferResult:
     """Infer one term: a fresh conclusion variable plus its constraint set."""
-    alpha, constraints, d = _infer_term(ctx, e, fresh, "term")
+    constraints: list[Constraint] = []
+    alpha, d = _infer_term(ctx, e, fresh, "term", constraints)
     return InferResult(alpha, ConstraintSet(constraints), d)
 
 
-def _infer_cond(ctx: Context, c: Cond, fresh: FreshSupply, path: str) -> tuple[list[Constraint], Derivation]:
+def _infer_cond(ctx: Context, c: Cond, fresh: FreshSupply, path: str, out: list[Constraint]) -> Derivation:
     if isinstance(c, Match):
         annotation: TypeTerm = c.at if c.at is not None else fresh.fresh()
-        pat_var, pat_constraints, pat_d = _infer_term(ctx, c.pattern, fresh, f"{path}.pattern")
-        sub_var, sub_constraints, sub_d = _infer_term(ctx, c.subject, fresh, f"{path}.subject")
-        constraints = pat_constraints + sub_constraints + [
-            Sub(pat_var, annotation),
-            Eq(sub_var, annotation),
-        ]
+        pat_var, pat_d = _infer_term(ctx, c.pattern, fresh, f"{path}.pattern", out)
+        sub_var, sub_d = _infer_term(ctx, c.subject, fresh, f"{path}.subject", out)
+        own = [Sub(pat_var, annotation), Eq(sub_var, annotation)]
+        out.extend(own)
         subject = Match(c.pattern, c.subject, annotation)
-        return constraints, Derivation(
-            "CT-Match", subject, WT, (pat_d, sub_d), ConstraintSet(constraints))
+        return Derivation("CT-Match", subject, WT, (pat_d, sub_d), ConstraintSet(own))
 
     if isinstance(c, Conj):
-        constraints: list[Constraint] = []
-        premises = []
-        members = []
-        for i, member in enumerate(c.conds):
-            mc, md = _infer_cond(ctx, member, fresh, f"{path}[{i}]")
-            constraints.extend(mc)
-            premises.append(md)
-            members.append(md.subject)
-        subject = Conj(tuple(members))
-        return constraints, Derivation("CT-Conj", subject, WT, tuple(premises), ConstraintSet(constraints))
+        premises = tuple(_infer_cond(ctx, member, fresh, f"{path}[{i}]", out)
+                         for i, member in enumerate(c.conds))
+        subject = Conj(tuple(md.subject for md in premises))
+        return Derivation("CT-Conj", subject, WT, premises, ConstraintSet())
 
     raise TypeError(f"unexpected condition {c!r}")
 
 
 def infer_cond(ctx: Context, c: Cond, fresh: FreshSupply) -> InferResult:
     """Infer a condition; a missing match annotation gets a fresh variable."""
-    constraints, d = _infer_cond(ctx, c, fresh, "cond")
+    constraints: list[Constraint] = []
+    d = _infer_cond(ctx, c, fresh, "cond", constraints)
     return InferResult(WT, ConstraintSet(constraints), d)
 
 
@@ -263,8 +237,8 @@ def infer_rule(ctx: Context, r: Rule, fresh: FreshSupply) -> InferResult:
     """Infer a whole rule: the condition's constraints, each action term's
     constraints, and one reflexive equality recording the declared typing of
     every variable-headed action term."""
-    constraints, cond_d = _infer_cond(ctx, r.cond, fresh, "cond")
-    premises = [cond_d]
+    constraints: list[Constraint] = []
+    premises = [_infer_cond(ctx, r.cond, fresh, "cond", constraints)]
     action_typings: list[TypeTerm] = []
     for i, action in enumerate(r.actions):
         path = f"action[{i}]"
@@ -275,12 +249,10 @@ def infer_rule(ctx: Context, r: Rule, fresh: FreshSupply) -> InferResult:
         if typing is None:
             raise InferError(ErrKind.UNDECLARED_VARIABLE, path, f"{action} has no declared typing")
         action_typings.append(typing)
-        _, ac, ad = _infer_term(ctx, action, fresh, path)
-        constraints = constraints + ac
+        _, ad = _infer_term(ctx, action, fresh, path, constraints)
         premises.append(ad)
-    for typing in action_typings:
-        if isinstance(typing, TypeVar):
-            constraints.append(Eq(typing, typing))
-    subject = Rule(cond_d.subject, r.actions)
+    own = [Eq(typing, typing) for typing in action_typings if isinstance(typing, TypeVar)]
+    constraints.extend(own)
+    subject = Rule(premises[0].subject, r.actions)
     return InferResult(WT, ConstraintSet(constraints),
-                       Derivation("CT-Rule", subject, WT, tuple(premises), ConstraintSet(constraints)))
+                       Derivation("CT-Rule", subject, WT, tuple(premises), ConstraintSet(own)))

@@ -354,23 +354,6 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
     return problems
 
 
-def last_rule_vars(ctx: Context, d: Derivation) -> set[int]:
-    """The type variables mentioned in a derivation's last (root) rule: the
-    concluded types of the node and its premises, plus the annotation of a
-    match node and the declared typings read off by a rule node."""
-    out = type_vars(d.type)
-    for p in d.premises:
-        out |= type_vars(p.type)
-    if d.rule in ("T-Match", "CT-Match") and isinstance(d.subject, Match) and d.subject.at is not None:
-        out |= type_vars(d.subject.at)
-    if d.rule in ("T-Rule", "CT-Rule") and isinstance(d.subject, Rule):
-        for action in d.subject.actions:
-            typing = ctx.raw_typing(action)
-            if typing is not None:
-                out |= type_vars(typing)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Instantiation of a solved inference problem for re-checking
 

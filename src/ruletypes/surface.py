@@ -319,7 +319,11 @@ def parse(source: str) -> SourceFile:
             cur.take(":")
             decls.append(SvarDecl(name, _parse_type_ann(cur), pos))
         elif head.text == "rule":
-            decls.append(_parse_rule(cur, pos))
+            try:
+                decls.append(_parse_rule(cur, pos))
+            except RecursionError:
+                # Terms are parsed recursively, one call per nesting level.
+                raise ParseError("term nests too deeply to parse", cur.pos()) from None
         else:
             raise ParseError(f"unknown declaration {head.text!r}", pos)
         cur.done()

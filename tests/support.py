@@ -8,7 +8,6 @@ from __future__ import annotations
 from collections import deque
 
 from ruletypes import (
-    Conj,
     Constraint,
     ConstraintSet,
     Context,
@@ -69,23 +68,6 @@ def example_rule(annotated: bool = True) -> Rule:
     subject = ListApp("l", (SynApp("one"),))
     at = g("Z") if annotated else None
     return Rule(Match(pattern, subject, at), (Var("y"),))
-
-
-def peano() -> tuple[Context, Rule]:
-    nat = Sort("Nat")
-    ctx = Context(
-        sorts=[nat],
-        ranks=[SynRank.make("zero", [], nat), SynRank.make("suc", [nat], nat)],
-        var_types={name: g("Nat") for name in ("x", "y", "t1", "t2")},
-    )
-    rule = Rule(
-        Conj((
-            Match(SynApp("suc", (Var("x"),)), Var("t1"), g("Nat")),
-            Match(SynApp("suc", (Var("y"),)), Var("t2"), g("Nat")),
-        )),
-        (Var("x"), Var("y")),
-    )
-    return ctx, rule
 
 
 def resolution_example_constraints() -> list[Constraint]:

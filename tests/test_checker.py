@@ -16,11 +16,11 @@ from ruletypes import (
     WellTyped,
     check_cond,
     check_rule,
-    check_simple,
     check_term,
     dsort,
 )
 from ruletypes.oracle import derivation_search, gen_instance, validate_derivation
+from ruletypes.surface import build_context, parse, resolve_rule
 
 
 def labels(derivation):
@@ -104,6 +104,22 @@ def test_star_with_foreign_list_type_is_rejected():
     assert isinstance(out, CheckErr) and out.kind is ErrKind.EXPECTED_LIST_TYPE
 
 
+def test_star_types_are_checked_right_to_left_before_the_elements(fixtures_dir):
+    # L(m(),c(),w*,c(),u*): m() is not a Z and both stars are typed at M's
+    # list type, so which error comes first pins the order of the list steps
+    sf = parse((fixtures_dir / "lists.rules").read_text(encoding="utf-8"))
+    ctx = build_context(sf)
+    bad = resolve_rule(sf.rules[2], ctx).cond
+    args = bad.pattern.args
+    for kept, kind, path in [
+        (args, ErrKind.EXPECTED_LIST_TYPE, "cond.pattern.arg[4]"),
+        (args[:4], ErrKind.EXPECTED_LIST_TYPE, "cond.pattern.arg[2]"),
+        (args[:2] + args[3:4], ErrKind.NOT_SUBTYPE, "cond.pattern.arg[0]"),
+    ]:
+        out = check_cond(ctx, Match(ListApp("L", kept), bad.subject, bad.at))
+        assert isinstance(out, CheckErr) and (out.kind, out.path) == (kind, path)
+
+
 def test_foreign_list_is_an_element_not_a_concatenation():
     # a nested list of a different operator with the same codomain goes
     # through the element rule, keyed on the decoration
@@ -154,29 +170,6 @@ def test_undeclared_action_variable(gamma_ex):
     rule = Rule(support.example_rule().cond, (Var("w"),))
     out = check_rule(gamma_ex, rule)
     assert isinstance(out, CheckErr) and out.kind is ErrKind.UNDECLARED_VARIABLE
-
-
-# ---------------------------------------------------------------------------
-# check_simple
-
-def test_peano_rule_checks_in_simple_mode():
-    ctx, rule = support.peano()
-    out = check_simple(ctx, rule)
-    assert isinstance(out, WellTyped)
-    assert out.derivation.premises[0].rule == "T-Conj"
-
-
-def test_simple_variable_match():
-    ctx, _ = support.peano()
-    out = check_simple(ctx, Rule(Match(Var("x"), Var("t1"), g("Nat")), (Var("x"),)))
-    assert isinstance(out, WellTyped)
-
-
-def test_simple_arity_error():
-    ctx, _ = support.peano()
-    bad = SynApp("suc", (SynApp("zero"), SynApp("zero")))
-    out = check_simple(ctx, Rule(Match(bad, Var("t1"), g("Nat")), ()))
-    assert isinstance(out, CheckErr) and out.kind is ErrKind.ARITY_MISMATCH
 
 
 # ---------------------------------------------------------------------------

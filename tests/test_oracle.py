@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import pytest
 
 import support
@@ -30,7 +33,6 @@ from ruletypes.oracle import (
     gen_instance,
     ground_universe,
     instantiate_for_check,
-    last_rule_vars,
     strip_typings,
     validate_derivation,
 )
@@ -114,18 +116,7 @@ def test_validator_rejects_consecutive_subtype_steps(gamma_ex):
 
 
 # ---------------------------------------------------------------------------
-# last-rule variables and instantiation
-
-def test_last_rule_vars_of_the_running_example():
-    sig = support.example_signature()
-    rule = support.example_rule(annotated=False)
-    fresh = FreshSupply()
-    gamma = init_context(sig, rule, fresh)
-    res = infer_rule(gamma, rule, fresh)
-    y_typing = gamma.var_types["y"]
-    action_var = res.derivation.premises[1].type
-    assert last_rule_vars(gamma, res.derivation) == {y_typing.id, action_var.id}
-
+# instantiation
 
 def test_instantiation_grounds_typings_and_annotations():
     sig = support.example_signature()
@@ -177,6 +168,18 @@ def test_minimal_instance_shape():
 def test_seed_zero_instance_is_pinned(fixtures_dir):
     golden = (fixtures_dir / "corpus" / "seed_000.rules").read_text()
     assert render_instance(*gen_instance(0)) == golden
+
+
+def test_corpus_summary_is_reproduced(fixtures_dir):
+    script = pathlib.Path(__file__).parent.parent / "scripts" / "gen_corpus.py"
+    spec = importlib.util.spec_from_file_location("gen_corpus", script)
+    gen_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_corpus)
+    lines = []
+    for seed in range(20):
+        check_line, solve_line = gen_corpus.outcomes(*gen_instance(seed))
+        lines.append(f"seed_{seed:03} check={check_line} solve={solve_line}")
+    assert "\n".join(lines) + "\n" == (fixtures_dir / "corpus" / "summary.txt").read_text()
 
 
 def test_simple_mode_has_no_lists_or_edges():
