@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 from typing import Any
@@ -132,16 +133,20 @@ def _arg_parser() -> argparse.ArgumentParser:
 def _run_rule(args: argparse.Namespace, name: str, ctx: Context, decl: RuleDecl,
               index: int, entry: dict[str, Any], out: list[str]) -> int:
     """Check, infer or solve one rule, filling its report entry and text
-    lines; returns the rule's exit code."""
+    lines; returns the rule's exit code.  ``--trace`` output is built only
+    for the selected format."""
     rule = resolve_rule(decl, ctx)
+    json_trace = args.trace and args.format == "json"
+    text_trace = args.trace and not json_trace
 
     if args.command == "check":
         outcome = checker.check_rule(ctx, rule)
         if isinstance(outcome, checker.WellTyped):
             entry["outcome"] = "well-typed"
             out.append(f"rule {index}: well-typed")
-            if args.trace:
+            if json_trace:
                 entry["derivation"] = derivation_json(outcome.derivation)
+            if text_trace:
                 out.append(render_derivation(outcome.derivation))
         else:
             entry["outcome"] = "error"
@@ -171,15 +176,17 @@ def _run_rule(args: argparse.Namespace, name: str, ctx: Context, decl: RuleDecl,
     if args.command == "infer":
         out.append(f"rule {index}: Γ = {{{', '.join(bindings)}}}")
         out.append(f"rule {index}: C = {result.constraints}")
-        if args.trace:
+        if json_trace:
             entry["derivation"] = derivation_json(result.derivation)
+        if text_trace:
             out.append(render_derivation(result.derivation))
         return 0
 
     code = 0
     outcome = solver.solve(gamma, result.constraints)
-    if args.trace:
+    if json_trace:
         entry["derivation"] = derivation_json(result.derivation)
+    if text_trace:
         out.append(f"rule {index}: C = {result.constraints}")
         out.append(render_derivation(result.derivation))
     if isinstance(outcome, solver.Solved):
@@ -198,12 +205,13 @@ def _run_rule(args: argparse.Namespace, name: str, ctx: Context, decl: RuleDecl,
         entry["residual"] = [constraint_json(c) for c in outcome.residual]
         out.append(f"rule {index}: stuck with residual {outcome.residual}")
         code = 4
-    if args.trace:
+    if json_trace:
         entry["steps"] = [{"rule": s.rule,
                            "consumed": [constraint_json(c) for c in s.consumed],
                            "produced": [constraint_json(c) for c in s.produced],
                            "bound": [{"var": f"α{v}", "type": str(t)} for v, t in s.bound]}
                           for s in outcome.trace]
+    if text_trace:
         out.append(render_trace(outcome.trace))
 
     if args.command == "solve" and getattr(args, "oracle", False):
@@ -319,7 +327,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe shows here, inside the try
+    except BrokenPipeError:
+        # The reader went away (``ruletypes ... | head``): point stdout at
+        # devnull so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@ constraint solver: sorts, decorations, terms, type terms, constraints,
 substitutions, and derivation trees.
 
 Everything here is immutable after construction and safe to share across
-threads.
+threads.  Ground types and constraints cache their hash, because the solver
+hashes them at every step.
 """
 
 from __future__ import annotations
@@ -87,6 +88,12 @@ class GroundType(TypeTerm):
     """A ground type term: a decorated sort."""
 
     dsort: DecoratedSort
+    _hash = None  # not a field: cached on first use, as most are never hashed
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.dsort,)))
+        return self._hash
 
     def __str__(self) -> str:
         return str(self.dsort)
@@ -241,6 +248,10 @@ class Eq(Constraint):
     def __post_init__(self) -> None:
         _reject_wt(self.lhs)
         _reject_wt(self.rhs)
+        object.__setattr__(self, "_hash", hash((self.lhs, self.rhs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.lhs} =_s {self.rhs}"
@@ -256,6 +267,10 @@ class Sub(Constraint):
     def __post_init__(self) -> None:
         _reject_wt(self.lhs)
         _reject_wt(self.rhs)
+        object.__setattr__(self, "_hash", hash((self.lhs, self.rhs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.lhs} <:_s {self.rhs}"

@@ -1,9 +1,11 @@
 """The command-line contract: byte-for-byte goldens for the running example
-and the list rules, verdicts on very wide lists, and diagnostics instead of a
-traceback on very deep nesting."""
+and the list rules, one exit code per outcome, verdicts on very wide lists,
+and diagnostics instead of a traceback on very deep nesting or a closed
+pipe."""
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -33,6 +35,47 @@ def test_list_rules_match_golden(capsys, monkeypatch, fixtures_dir, command, gol
     captured = capsys.readouterr()
     assert captured.out.encode("utf-8") == (fixtures_dir / "golden" / golden).read_bytes()
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "{fixtures}/example4.rules"], 0),
+    (["solve", "{fixtures}/corpus/seed_017.rules"], 1),     # failed(4)
+    (["solve", "{tmp}/missing.rules"], 2),
+    (["check", "{tmp}/garbage.rules"], 2),
+    (["check", "{tmp}/cycle.rules"], 3),                    # ill-formed signature
+    (["check", "{fixtures}/example4.rules"], 3),            # inference form
+    (["solve", "{fixtures}/stuck.rules"], 4),
+    (["solve", "--seed", "0", "--oracle", "--max-enum", "1"], 5),
+], ids=["solved", "failed", "missing-file", "parse-error", "ill-formed",
+        "mode-mismatch", "stuck", "enumeration-budget"])
+def test_exit_codes(capsys, tmp_path, fixtures_dir, argv, code):
+    (tmp_path / "garbage.rules").write_text("rule (\n")
+    (tmp_path / "cycle.rules").write_text("sort A <: B\nsort B <: A\n")
+    argv = [arg.format(fixtures=fixtures_dir, tmp=tmp_path) for arg in argv]
+    assert cli.run(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_closed_pipe_exits_quietly(capsys, monkeypatch, tmp_path, example2_path):
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError
+
+        flush = write
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(sink.fileno()))
+        monkeypatch.setattr(sys, "argv", ["ruletypes", "check", "--trace", str(example2_path)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err == ""
 
 
 SOURCE = """\
@@ -86,6 +129,17 @@ def test_too_long_list_is_a_rule_error(capsys, tmp_path, command, next_rule):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith(next_rule.replace("rule 2:", "rule 1:"))
     assert any(line.startswith(next_rule) for line in lines[1:])
+
+
+@pytest.mark.parametrize("command", ["check", "infer"])
+def test_text_trace_of_a_wide_list(capsys, tmp_path, command):
+    # Text mode renders the derivation in a loop and builds no JSON tree,
+    # whose rendering recurses once per level.
+    path = tmp_path / "wide.rules"
+    ann = "Z" if command == "check" else "?"
+    path.write_text(SOURCE.format(pattern=f"L({','.join(['c()'] * 600)})", ann=ann))
+    assert cli.run([command, "--trace", str(path)]) == 0
+    assert "TooDeep" not in capsys.readouterr().out
 
 
 def test_too_deep_nesting_is_a_parse_error(capsys, tmp_path):

@@ -50,6 +50,18 @@ def test_random_constraint_sets():
     assert all(verdicts.values()), verdicts
 
 
+@pytest.mark.parametrize("max_vars, max_constraints", [(12, 40), (30, 80), (3, 30)])
+def test_larger_random_constraint_sets(max_vars, max_constraints):
+    # Larger sets fail after many steps, through every detection pattern.
+    fail_rules = set()
+    for seed in range(1500):
+        ctx, constraints = gen_constraints(seed, max_vars, max_constraints)
+        outcome = assert_engines_agree(ctx, constraints)
+        if isinstance(outcome, Failed):
+            fail_rules.add(outcome.fail_rule)
+    assert fail_rules == {1, 2, 3, 4, 5}
+
+
 @pytest.mark.parametrize("path", sorted((FIXTURES / "corpus").glob("seed_*.rules")),
                          ids=lambda p: p.stem)
 def test_corpus_rules(path):
@@ -85,14 +97,16 @@ ELEMENTS = (
 )
 
 
-def wide_rule(width: int, element: str | None = None) -> str:
+def wide_rule(width: int, element: str | None = None, at: int | None = None) -> str:
+    """A ``width``-element list rule; ``element`` replaces the one at ``at``
+    (default: the middle one)."""
     elems = [ELEMENTS[i % len(ELEMENTS)].format(k=i % 5, j=(i + 2) % 3) for i in range(width)]
     if element is not None:
-        elems[width // 2] = element
+        elems[width // 2 if at is None else at] = element
     return LIST_SIGNATURE + f"rule L({','.join(elems)}) << [?] t -> (t)\n"
 
 
-@pytest.mark.parametrize("width", [16, 36])
+@pytest.mark.parametrize("width", [16, 36, 80])
 def test_wide_lists_solve(width):
     (gamma, constraints), = inferred_sets(wide_rule(width), False)
     assert isinstance(assert_engines_agree(gamma, constraints), Solved)
@@ -106,3 +120,11 @@ def test_wide_lists_solve(width):
 def test_wide_lists_fail(width, element):
     (gamma, constraints), = inferred_sets(wide_rule(width, element), False)
     assert isinstance(assert_engines_agree(gamma, constraints), Failed)
+
+
+def test_wide_list_fails_late():
+    # The bad element sits near the end, so the failure first shows after
+    # many steps have rewritten the set.
+    (gamma, constraints), = inferred_sets(wide_rule(80, "M(f(c(),c()))", at=76), False)
+    outcome = assert_engines_agree(gamma, constraints)
+    assert isinstance(outcome, Failed) and len(outcome.trace) > 100
