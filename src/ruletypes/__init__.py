@@ -3,8 +3,8 @@ signatures with subtyping, decorated sorts, and variadic list operators,
 plus a resolution algorithm for the generated equality/subtype constraints
 and a brute-force oracle for validating it."""
 
-from .checker import CheckErr, ErrKind, WellTyped, check_cond, check_rule, check_term
-from .context import Context, SynRank, VariadicRank, Violation, validate
+from .checker import CheckErr, WellTyped, check_cond, check_rule, check_term
+from .context import Context, ErrKind, RuleError, SynRank, VariadicRank, Violation, validate
 from .core import (
     ANY,
     WT,

@@ -10,11 +10,10 @@ rule fits, which is what makes the algorithm deterministic.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Union
 
-from .context import ELEM, STAR, Context
+from .context import ELEM, STAR, Context, ErrKind, RuleError
 from .core import (
     Cond,
     Conj,
@@ -31,18 +30,6 @@ from .core import (
     Var,
     WT,
 )
-
-
-class ErrKind(enum.Enum):
-    NO_RANK = "NoRank"
-    ARITY_MISMATCH = "ArityMismatch"
-    NOT_SUBTYPE = "NotSubtype"
-    UNDECLARED_VARIABLE = "UndeclaredVariable"
-    STAR_OUTSIDE_LIST = "StarOutsideList"
-    EXPECTED_LIST_TYPE = "ExpectedListType"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -63,16 +50,6 @@ class CheckErr:
 CheckOutcome = Union[WellTyped, CheckErr]
 
 
-class _Failure(Exception):
-    def __init__(self, err: CheckErr):
-        super().__init__(str(err))
-        self.err = err
-
-
-def _fail(kind: ErrKind, path: str, detail: str) -> None:
-    raise _Failure(CheckErr(kind, path, detail))
-
-
 # ---------------------------------------------------------------------------
 # Decorated system
 
@@ -81,39 +58,21 @@ def _declared_dsort(ctx: Context, e: Term, path: str) -> DecoratedSort:
     if isinstance(tt, GroundType):
         return tt.dsort
     if isinstance(tt, TypeVar):
-        _fail(ErrKind.UNDECLARED_VARIABLE, path,
-              f"{e} is typed by a type variable; checking needs a ground typing")
-    _fail(ErrKind.UNDECLARED_VARIABLE, path, f"{e} has no declared type")
-    raise AssertionError  # unreachable
-
-
-def _reject_star_args(e: SynApp, path: str) -> None:
-    # A star variable stands for a list segment of any length, so it is
-    # diagnosed before the arguments are counted, as inference does.
-    for i, arg in enumerate(e.args):
-        if isinstance(arg, StarVar):
-            _fail(ErrKind.STAR_OUTSIDE_LIST, f"{path}.arg[{i}]",
-                  f"star variable {arg} inside a syntactic application")
+        raise RuleError(ErrKind.UNDECLARED_VARIABLE, path,
+                        f"{e} is typed by a type variable; checking needs a ground typing")
+    raise RuleError(ErrKind.UNDECLARED_VARIABLE, path, f"{e} has no declared type")
 
 
 def _structural(ctx: Context, e: Term, path: str, star_ok: bool = False) -> Derivation:
-    if isinstance(e, Var):
-        return Derivation("T-Var", e, GroundType(_declared_dsort(ctx, e, path)))
-
-    if isinstance(e, StarVar):
-        if not star_ok:
-            _fail(ErrKind.STAR_OUTSIDE_LIST, path,
-                  f"star variable {e} may only appear directly inside a list application")
-        return Derivation("T-SVar", e, GroundType(_declared_dsort(ctx, e, path)))
+    if isinstance(e, (Var, StarVar)):
+        if isinstance(e, StarVar) and not star_ok:
+            raise RuleError(ErrKind.STAR_OUTSIDE_LIST, path,
+                            f"star variable {e} may only appear directly inside a list application")
+        rule = "T-Var" if isinstance(e, Var) else "T-SVar"
+        return Derivation(rule, e, GroundType(_declared_dsort(ctx, e, path)))
 
     if isinstance(e, SynApp):
-        rank = ctx.syn_ranks.get(e.op)
-        if rank is None:
-            _fail(ErrKind.NO_RANK, path, f"operator {e.op} has no declared rank")
-        _reject_star_args(e, path)
-        if len(e.args) != len(rank.domain):
-            _fail(ErrKind.ARITY_MISMATCH, path,
-                  f"{e.op} expects {len(rank.domain)} arguments, got {len(e.args)}")
+        rank = ctx.syn_rank(e, path)
         premises = tuple(
             _check(ctx, arg, rank.domain[i], f"{path}.arg[{i}]")
             for i, arg in enumerate(e.args)
@@ -121,9 +80,7 @@ def _structural(ctx: Context, e: Term, path: str, star_ok: bool = False) -> Deri
         return Derivation("T-Fun", e, GroundType(rank.codomain), premises)
 
     if isinstance(e, ListApp):
-        rank = ctx.var_ranks.get(e.op)
-        if rank is None:
-            _fail(ErrKind.NO_RANK, path, f"variadic operator {e.op} has no declared rank")
+        rank = ctx.var_rank(e, path)
         codomain = rank.codomain
         steps = list(enumerate(ctx.list_steps(e)))
         # Every star's declared type is checked before any element, rightmost
@@ -133,8 +90,8 @@ def _structural(ctx: Context, e: Term, path: str, star_ok: bool = False) -> Deri
                 arg_path = f"{path}.arg[{i}]"
                 declared = _declared_dsort(ctx, arg, arg_path)
                 if declared != codomain:
-                    _fail(ErrKind.EXPECTED_LIST_TYPE, arg_path,
-                          f"star variable {arg} is typed {declared}, but {e.op} builds {codomain}")
+                    raise RuleError(ErrKind.EXPECTED_LIST_TYPE, arg_path,
+                                    f"star variable {arg} is typed {declared}, but {e.op} builds {codomain}")
         d = Derivation("T-Empty", ListApp(e.op), GroundType(codomain))
         for i, (prefix, arg, step) in steps:
             expected = rank.elem if step == ELEM else codomain
@@ -161,8 +118,7 @@ def _coerce(ctx: Context, e: Term, d: Derivation, expected: DecoratedSort, path:
             return d
     if ctx.subtype_holds(t, expected):
         return Derivation("Sub", e, GroundType(expected), (d,))
-    _fail(ErrKind.NOT_SUBTYPE, path, f"cannot use {structural} where {expected} is required")
-    raise AssertionError  # unreachable
+    raise RuleError(ErrKind.NOT_SUBTYPE, path, f"cannot use {structural} where {expected} is required")
 
 
 def _check(ctx: Context, e: Term, expected: DecoratedSort, path: str, star_ok: bool = False) -> Derivation:
@@ -191,16 +147,16 @@ def check_term(ctx: Context, e: Term, expected: DecoratedSort) -> CheckOutcome:
     """Check one term against an expected decorated sort."""
     try:
         return WellTyped(_check(ctx, e, expected, "term"))
-    except _Failure as f:
-        return f.err
+    except RuleError as exc:
+        return CheckErr(exc.kind, exc.path, exc.detail)
 
 
 def check_cond(ctx: Context, c: Cond) -> CheckOutcome:
     """Check a condition: both sides of every match against its annotation."""
     try:
         return WellTyped(_check_cond(ctx, c, "cond"))
-    except _Failure as f:
-        return f.err
+    except RuleError as exc:
+        return CheckErr(exc.kind, exc.path, exc.detail)
 
 
 def check_rule(ctx: Context, r: Rule) -> CheckOutcome:
@@ -212,8 +168,8 @@ def check_rule(ctx: Context, r: Rule) -> CheckOutcome:
             path = f"action[{i}]"
             expected = ctx.sortof(action)
             if expected is None:
-                _fail(ErrKind.UNDECLARED_VARIABLE, path, f"{action} has no declared type")
+                raise RuleError(ErrKind.UNDECLARED_VARIABLE, path, f"{action} has no declared type")
             premises.append(_check(ctx, action, expected, path))
         return WellTyped(Derivation("T-Rule", r, WT, tuple(premises)))
-    except _Failure as f:
-        return f.err
+    except RuleError as exc:
+        return CheckErr(exc.kind, exc.path, exc.detail)

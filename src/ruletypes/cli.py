@@ -10,6 +10,7 @@ exceeded.  A file with several rules exits with the worst per-rule code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -17,9 +18,9 @@ from itertools import chain
 from typing import Any
 
 from . import checker, oracle, solver
-from .context import Context, validate
-from .core import Cond, Conj, Constraint, ConstraintSet, Derivation, Match, Rule, Sub, Substitution
-from .infer import FreshSupply, InferError, infer_rule, init_context
+from .context import Context, ErrKind, RuleError, validate
+from .core import Cond, Constraint, ConstraintSet, Derivation, Rule, Sub, Substitution
+from .infer import FreshSupply, infer_rule, init_context
 from .surface import ParseError, RuleDecl, build_context, parse, render_instance, resolve_rule
 
 
@@ -103,7 +104,9 @@ def subst_json(s: Substitution) -> list[dict[str, str]]:
 # ---------------------------------------------------------------------------
 # Driver
 
+@functools.cache
 def _arg_parser() -> argparse.ArgumentParser:
+    # Built once per process; parsing leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="ruletypes",
         description="Type-check, infer, and solve rule expressions with "
@@ -130,112 +133,102 @@ def _arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_rule(args: argparse.Namespace, name: str, ctx: Context, decl: RuleDecl,
+def _run_rule(args: argparse.Namespace, ctx: Context, decl: RuleDecl,
               index: int, entry: dict[str, Any], out: list[str]) -> int:
     """Check, infer or solve one rule, filling its report entry and text
-    lines; returns the rule's exit code.  ``--trace`` output is built only
-    for the selected format."""
-    rule = resolve_rule(decl, ctx)
-    json_trace = args.trace and args.format == "json"
-    text_trace = args.trace and not json_trace
+    lines; returns the rule's exit code, or raises :class:`RuleError` when
+    the rule gets no verdict.  ``--trace`` output is built only for the
+    selected format."""
+    try:
+        rule = resolve_rule(decl, ctx)
+        json_trace = args.trace and args.format == "json"
+        text_trace = args.trace and not json_trace
 
-    if args.command == "check":
-        outcome = checker.check_rule(ctx, rule)
-        if isinstance(outcome, checker.WellTyped):
+        def trace_derivation(d: Derivation) -> None:
+            if json_trace:
+                entry["derivation"] = derivation_json(d)
+            if text_trace:
+                out.append(render_derivation(d))
+
+        if args.command == "check":
+            outcome = checker.check_rule(ctx, rule)
+            if isinstance(outcome, checker.CheckErr):
+                raise RuleError(outcome.kind, outcome.path, outcome.detail)
             entry["outcome"] = "well-typed"
             out.append(f"rule {index}: well-typed")
-            if json_trace:
-                entry["derivation"] = derivation_json(outcome.derivation)
-            if text_trace:
-                out.append(render_derivation(outcome.derivation))
-        else:
-            entry["outcome"] = "error"
-            entry["error"] = {"kind": str(outcome.kind), "path": outcome.path,
-                              "detail": outcome.detail}
-            out.append(f"{name}:{decl.pos}: rule {index}: error {outcome}")
-            return 1
-        return 0
+            trace_derivation(outcome.derivation)
+            return 0
 
-    # infer / solve share the generation step
-    fresh = FreshSupply()
-    gamma = init_context(ctx, rule, fresh)
-    try:
+        # infer / solve share the generation step
+        fresh = FreshSupply()
+        gamma = init_context(ctx, rule, fresh)
         result = infer_rule(gamma, rule, fresh)
-    except InferError as exc:
-        entry["outcome"] = "error"
-        entry["error"] = {"kind": str(exc.kind), "path": exc.path, "detail": exc.detail}
-        out.append(f"{name}:{decl.pos}: rule {index}: error {exc}")
-        return 1
 
-    bindings = [f"{n} : {t}" for n, t in list(gamma.var_types.items())
-                + [(f"{n}*", t) for n, t in gamma.star_types.items()]]
-    entry["context"] = ([{"name": n, "type": str(t)} for n, t in gamma.var_types.items()]
-                        + [{"name": f"{n}*", "type": str(t)} for n, t in gamma.star_types.items()])
-    entry["constraints"] = [constraint_json(c) for c in result.constraints]
+        typings = list(gamma.var_types.items()) + [(f"{n}*", t) for n, t in gamma.star_types.items()]
+        entry["context"] = [{"name": n, "type": str(t)} for n, t in typings]
+        entry["constraints"] = [constraint_json(c) for c in result.constraints]
 
-    if args.command == "infer":
-        out.append(f"rule {index}: Γ = {{{', '.join(bindings)}}}")
-        out.append(f"rule {index}: C = {result.constraints}")
-        if json_trace:
-            entry["derivation"] = derivation_json(result.derivation)
+        if args.command == "infer":
+            out.append(f"rule {index}: Γ = {{{', '.join(f'{n} : {t}' for n, t in typings)}}}")
+            out.append(f"rule {index}: C = {result.constraints}")
+            trace_derivation(result.derivation)
+            return 0
+
+        code = 0
+        outcome = solver.solve(gamma, result.constraints)
         if text_trace:
-            out.append(render_derivation(result.derivation))
-        return 0
-
-    code = 0
-    outcome = solver.solve(gamma, result.constraints)
-    if json_trace:
-        entry["derivation"] = derivation_json(result.derivation)
-    if text_trace:
-        out.append(f"rule {index}: C = {result.constraints}")
-        out.append(render_derivation(result.derivation))
-    if isinstance(outcome, solver.Solved):
-        entry["result"] = "solved"
-        entry["substitution"] = subst_json(outcome.subst)
-        out.append(f"rule {index}: solved σ = {outcome.subst}")
-    elif isinstance(outcome, solver.Failed):
-        entry["result"] = "failed"
-        entry["fail_rule"] = outcome.fail_rule
-        entry["witness"] = [constraint_json(c) for c in outcome.witness]
-        witness = ", ".join(str(c) for c in outcome.witness)
-        out.append(f"rule {index}: failed by detection rule ({outcome.fail_rule}) on {witness}")
-        code = 1
-    else:
-        entry["result"] = "stuck"
-        entry["residual"] = [constraint_json(c) for c in outcome.residual]
-        out.append(f"rule {index}: stuck with residual {outcome.residual}")
-        code = 4
-    if json_trace:
-        entry["steps"] = [{"rule": s.rule,
-                           "consumed": [constraint_json(c) for c in s.consumed],
-                           "produced": [constraint_json(c) for c in s.produced],
-                           "bound": [{"var": f"α{v}", "type": str(t)} for v, t in s.bound]}
-                          for s in outcome.trace]
-    if text_trace:
-        out.append(render_trace(outcome.trace))
-
-    if args.command == "solve" and getattr(args, "oracle", False):
-        try:
-            found = oracle.enumerate_solutions(
-                gamma, result.constraints, budget=args.max_enum, limit=1)
-        except oracle.BudgetExceeded as exc:
-            entry["oracle"] = "budget-exceeded"
-            out.append(f"rule {index}: oracle: {exc}")
-            return 5
-        solved = isinstance(outcome, solver.Solved)
-        satisfiable = bool(found)
-        entry["oracle"] = "satisfiable" if satisfiable else "unsatisfiable"
-        if isinstance(outcome, solver.Stuck):
-            out.append(f"rule {index}: oracle: set is "
-                       f"{'satisfiable' if satisfiable else 'unsatisfiable'} (outcome stuck)")
-        elif solved != satisfiable:
-            out.append(f"rule {index}: oracle DISAGREES with the solver "
-                       f"(solver {'solved' if solved else 'failed'}, "
-                       f"enumeration found {'a' if satisfiable else 'no'} solution)")
+            out.append(f"rule {index}: C = {result.constraints}")
+        trace_derivation(result.derivation)
+        if isinstance(outcome, solver.Solved):
+            entry["result"] = "solved"
+            entry["substitution"] = subst_json(outcome.subst)
+            out.append(f"rule {index}: solved σ = {outcome.subst}")
+        elif isinstance(outcome, solver.Failed):
+            entry["result"] = "failed"
+            entry["fail_rule"] = outcome.fail_rule
+            entry["witness"] = [constraint_json(c) for c in outcome.witness]
+            witness = ", ".join(str(c) for c in outcome.witness)
+            out.append(f"rule {index}: failed by detection rule ({outcome.fail_rule}) on {witness}")
             code = 1
         else:
-            out.append(f"rule {index}: oracle agrees")
-    return code
+            entry["result"] = "stuck"
+            entry["residual"] = [constraint_json(c) for c in outcome.residual]
+            out.append(f"rule {index}: stuck with residual {outcome.residual}")
+            code = 4
+        if json_trace:
+            entry["steps"] = [{"rule": s.rule,
+                               "consumed": [constraint_json(c) for c in s.consumed],
+                               "produced": [constraint_json(c) for c in s.produced],
+                               "bound": [{"var": f"α{v}", "type": str(t)} for v, t in s.bound]}
+                              for s in outcome.trace]
+        if text_trace:
+            out.append(render_trace(outcome.trace))
+
+        if args.oracle:
+            try:
+                found = oracle.enumerate_solutions(
+                    gamma, result.constraints, budget=args.max_enum, limit=1)
+            except oracle.BudgetExceeded as exc:
+                entry["oracle"] = "budget-exceeded"
+                out.append(f"rule {index}: oracle: {exc}")
+                return 5
+            solved = isinstance(outcome, solver.Solved)
+            satisfiable = bool(found)
+            entry["oracle"] = "satisfiable" if satisfiable else "unsatisfiable"
+            if isinstance(outcome, solver.Stuck):
+                out.append(f"rule {index}: oracle: set is {entry['oracle']} (outcome stuck)")
+            elif solved != satisfiable:
+                out.append(f"rule {index}: oracle DISAGREES with the solver "
+                           f"(solver {'solved' if solved else 'failed'}, "
+                           f"enumeration found {'a' if satisfiable else 'no'} solution)")
+                code = 1
+            else:
+                out.append(f"rule {index}: oracle agrees")
+        return code
+    except RecursionError:
+        # Terms are walked recursively; a term too deep for the
+        # interpreter's stack is a per-rule error, not a crash.
+        raise RuleError(ErrKind.TOO_DEEP, "rule", "the rule nests too deeply to process") from None
 
 
 def run(argv: list[str]) -> int:
@@ -305,15 +298,11 @@ def run(argv: list[str]) -> int:
         entry: dict[str, Any] = {"index": index}
         lines: list[str] = []
         try:
-            codes.append(_run_rule(args, name, ctx, decl, index, entry, lines))
-        except RecursionError:
-            # Terms are walked recursively; a term too deep for the
-            # interpreter's stack is a per-rule error, not a crash.
+            codes.append(_run_rule(args, ctx, decl, index, entry, lines))
+        except RuleError as exc:
             entry = {"index": index, "outcome": "error",
-                     "error": {"kind": "TooDeep", "path": "rule",
-                               "detail": "the rule nests too deeply to process"}}
-            lines = [f"{name}:{decl.pos}: rule {index}: error TooDeep at rule: "
-                     "the rule nests too deeply to process"]
+                     "error": {"kind": str(exc.kind), "path": exc.path, "detail": exc.detail}}
+            lines = [f"{name}:{decl.pos}: rule {index}: error {exc}"]
             codes.append(1)
         rule_reports.append(entry)
         out.extend(lines)

@@ -8,12 +8,12 @@ once and cached, so a validated context can be shared across threads.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 from .core import (
-    ANY,
     DecoratedSort,
     Decoration,
     GroundType,
@@ -80,6 +80,32 @@ class VariadicRank:
 
 
 Rank = Union[SynRank, VariadicRank]
+
+
+class ErrKind(enum.Enum):
+    NO_RANK = "NoRank"
+    ARITY_MISMATCH = "ArityMismatch"
+    NOT_SUBTYPE = "NotSubtype"
+    UNDECLARED_VARIABLE = "UndeclaredVariable"
+    STAR_OUTSIDE_LIST = "StarOutsideList"
+    EXPECTED_LIST_TYPE = "ExpectedListType"
+    TOO_DEEP = "TooDeep"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class RuleError(Exception):
+    """A rule or term that gets no verdict: the kind of defect, the path of
+    the offending subterm, and a detail.  Checking, inference and the CLI
+    all raise it."""
+
+    def __init__(self, kind: ErrKind, path: str, detail: str):
+        super().__init__(f"{kind} at {path}: {detail}")
+        self.kind = kind
+        self.path = path
+        self.detail = detail
+
 
 # The list rules' step for one argument of a variadic application.
 STAR = "Star"    # a star variable, spliced in at the list type
@@ -248,6 +274,50 @@ class Context:
             rank = self._var_ranks.get(e.op)
             return GroundType(rank.codomain) if rank else None
         return None
+
+    def with_typings(
+        self,
+        var_types: Iterable[tuple[str, TypeTerm]] | Mapping[str, TypeTerm] = (),
+        star_types: Iterable[tuple[str, TypeTerm]] | Mapping[str, TypeTerm] = (),
+    ) -> "Context":
+        """The same sorts, subsort declarations and ranks with other variable
+        and star-variable typings."""
+        return Context(
+            sorts=self._sorts,
+            subsorts=self._subsorts,
+            ranks=list(self._syn_ranks.values()) + list(self._var_ranks.values()),
+            var_types=var_types,
+            star_types=star_types,
+        )
+
+    def syn_rank(self, e: SynApp, path: str) -> SynRank:
+        """The rank of a syntactic application at ``path``, or the diagnosis
+        of why it has none that fits.
+
+        The order is fixed: an operator with no rank is ``NO_RANK``; then a
+        star argument is ``STAR_OUTSIDE_LIST``, since a star variable stands
+        for a list segment of any length and so cannot be counted as one
+        argument; only then does a wrong argument count give
+        ``ARITY_MISMATCH``.
+        """
+        rank = self._syn_ranks.get(e.op)
+        if rank is None:
+            raise RuleError(ErrKind.NO_RANK, path, f"operator {e.op} has no declared rank")
+        for i, arg in enumerate(e.args):
+            if isinstance(arg, StarVar):
+                raise RuleError(ErrKind.STAR_OUTSIDE_LIST, f"{path}.arg[{i}]",
+                                f"star variable {arg} inside a syntactic application")
+        if len(e.args) != len(rank.domain):
+            raise RuleError(ErrKind.ARITY_MISMATCH, path,
+                            f"{e.op} expects {len(rank.domain)} arguments, got {len(e.args)}")
+        return rank
+
+    def var_rank(self, e: ListApp, path: str) -> VariadicRank:
+        """The rank of a variadic application at ``path``, or ``NO_RANK``."""
+        rank = self._var_ranks.get(e.op)
+        if rank is None:
+            raise RuleError(ErrKind.NO_RANK, path, f"variadic operator {e.op} has no declared rank")
+        return rank
 
     def list_steps(self, e: ListApp) -> Iterator[tuple[ListApp, Term, str]]:
         """The list rules' chain for ``e`` after the empty list: for each

@@ -294,9 +294,6 @@ class ConstraintSet:
             merged.extend(other)
         return ConstraintSet(merged)
 
-    def __or__(self, other: Iterable[Constraint]) -> "ConstraintSet":
-        return self.union(other)
-
     def __iter__(self) -> Iterator[Constraint]:
         return iter(self._items)
 

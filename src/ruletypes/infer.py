@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checker import ErrKind
-from .context import ELEM, Context
+from .context import ELEM, Context, ErrKind, RuleError
 from .core import (
     Cond,
     Conj,
@@ -65,21 +64,7 @@ class InferResult:
     derivation: Derivation
 
 
-class InferError(Exception):
-    """Raised when inference meets an undeclared symbol or a malformed term.
-
-    A syntactic application is diagnosed in a fixed order: an operator with
-    no rank is ``NO_RANK``; then a star argument is ``STAR_OUTSIDE_LIST``,
-    since a star variable stands for a list segment of any length and so
-    cannot be counted as one argument; only then does a wrong argument count
-    give ``ARITY_MISMATCH``.
-    """
-
-    def __init__(self, kind: ErrKind, path: str, detail: str):
-        super().__init__(f"{kind} at {path}: {detail}")
-        self.kind = kind
-        self.path = path
-        self.detail = detail
+InferError = RuleError  # a public name: callers catch inference errors under it
 
 
 def _names_in_order(rule: Rule) -> list[tuple[bool, str]]:
@@ -122,13 +107,7 @@ def init_context(signature: Context, rule: Rule, fresh: FreshSupply) -> Context:
         table = star_types if is_star else var_types
         if not isinstance(table.get(name), GroundType):
             table[name] = fresh.fresh()
-    return Context(
-        sorts=signature.sorts,
-        subsorts=signature.subsort_decls,
-        ranks=list(signature.syn_ranks.values()) + list(signature.var_ranks.values()),
-        var_types=var_types,
-        star_types=star_types,
-    )
+    return signature.with_typings(var_types, star_types)
 
 
 def _infer_term(
@@ -141,35 +120,18 @@ def _infer_term(
 ) -> tuple[TypeVar, Derivation]:
     # Appends the subtree's constraints to ``out`` in post-order; each node
     # keeps only the constraints its own rule emits.
-    if isinstance(e, Var):
-        binding = ctx.var_types.get(e.name)
+    if isinstance(e, (Var, StarVar)):
+        binding = ctx.raw_typing(e)
         if binding is None:
-            raise InferError(ErrKind.UNDECLARED_VARIABLE, path, f"{e} has no typing")
+            raise RuleError(ErrKind.UNDECLARED_VARIABLE, path, f"{e} has no typing")
         alpha = pin or fresh.fresh()
         own = [Eq(alpha, binding)]
         out.extend(own)
-        return alpha, Derivation("CT-Var", e, alpha, (), ConstraintSet(own))
-
-    if isinstance(e, StarVar):
-        binding = ctx.star_types.get(e.name)
-        if binding is None:
-            raise InferError(ErrKind.UNDECLARED_VARIABLE, path, f"{e} has no typing")
-        alpha = pin or fresh.fresh()
-        own = [Eq(alpha, binding)]
-        out.extend(own)
-        return alpha, Derivation("CT-SVar", e, alpha, (), ConstraintSet(own))
+        rule = "CT-Var" if isinstance(e, Var) else "CT-SVar"
+        return alpha, Derivation(rule, e, alpha, (), ConstraintSet(own))
 
     if isinstance(e, SynApp):
-        rank = ctx.syn_ranks.get(e.op)
-        if rank is None:
-            raise InferError(ErrKind.NO_RANK, path, f"operator {e.op} has no declared rank")
-        for i, arg in enumerate(e.args):
-            if isinstance(arg, StarVar):
-                raise InferError(ErrKind.STAR_OUTSIDE_LIST, f"{path}.arg[{i}]",
-                                 f"star variable {arg} inside a syntactic application")
-        if len(e.args) != len(rank.domain):
-            raise InferError(ErrKind.ARITY_MISMATCH, path,
-                             f"{e.op} expects {len(rank.domain)} arguments, got {len(e.args)}")
+        rank = ctx.syn_rank(e, path)
         alpha = pin or fresh.fresh()
         premises = []
         own = [Eq(alpha, GroundType(rank.codomain))]
@@ -181,9 +143,7 @@ def _infer_term(
         return alpha, Derivation("CT-Fun", e, alpha, tuple(premises), ConstraintSet(own))
 
     if isinstance(e, ListApp):
-        rank = ctx.var_ranks.get(e.op)
-        if rank is None:
-            raise InferError(ErrKind.NO_RANK, path, f"variadic operator {e.op} has no declared rank")
+        rank = ctx.var_rank(e, path)
         alpha = pin or fresh.fresh()
         spine = Eq(alpha, GroundType(rank.codomain))
         out.append(spine)
@@ -243,11 +203,11 @@ def infer_rule(ctx: Context, r: Rule, fresh: FreshSupply) -> InferResult:
     for i, action in enumerate(r.actions):
         path = f"action[{i}]"
         if isinstance(action, StarVar):
-            raise InferError(ErrKind.STAR_OUTSIDE_LIST, path,
-                             f"star variable {action} cannot be an action term")
+            raise RuleError(ErrKind.STAR_OUTSIDE_LIST, path,
+                            f"star variable {action} cannot be an action term")
         typing = ctx.raw_typing(action)
         if typing is None:
-            raise InferError(ErrKind.UNDECLARED_VARIABLE, path, f"{action} has no declared typing")
+            raise RuleError(ErrKind.UNDECLARED_VARIABLE, path, f"{action} has no declared typing")
         action_typings.append(typing)
         _, ad = _infer_term(ctx, action, fresh, path, constraints)
         premises.append(ad)

@@ -65,7 +65,6 @@ def ground_universe(ctx: Context) -> tuple[DecoratedSort, ...]:
 def enumerate_solutions(
     ctx: Context,
     constraints: ConstraintSet | list[Constraint],
-    universe: tuple[DecoratedSort, ...] | None = None,
     budget: int = 1_000_000,
     fixed: dict[int, DecoratedSort] | None = None,
     limit: int | None = None,
@@ -80,8 +79,7 @@ def enumerate_solutions(
     and ``limit`` stops after that many solutions.
     """
     items = list(dict.fromkeys(constraints))
-    if universe is None:
-        universe = ground_universe(ctx)
+    universe = ground_universe(ctx)
 
     order: list[int] = []
     for c in items:
@@ -377,10 +375,7 @@ def instantiate_for_check(ctx: Context, rule: Rule, subst: Substitution) -> tupl
             return Match(c.pattern, c.subject, ground(c.at))
         return Conj(tuple(conv_cond(m) for m in c.conds))
 
-    ground_ctx = Context(
-        sorts=ctx.sorts,
-        subsorts=ctx.subsort_decls,
-        ranks=list(ctx.syn_ranks.values()) + list(ctx.var_ranks.values()),
+    ground_ctx = ctx.with_typings(
         var_types={name: ground(tt) for name, tt in ctx.var_types.items()},
         star_types={name: ground(tt) for name, tt in ctx.star_types.items()},
     )
@@ -402,11 +397,7 @@ def erase_annotations(rule: Rule) -> Rule:
 def strip_typings(ctx: Context) -> Context:
     """The bare signature: sorts, subsort declarations, and ranks, with all
     variable and star-variable typings removed."""
-    return Context(
-        sorts=ctx.sorts,
-        subsorts=ctx.subsort_decls,
-        ranks=list(ctx.syn_ranks.values()) + list(ctx.var_ranks.values()),
-    )
+    return ctx.with_typings()
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +611,7 @@ class _InstanceBuilder:
                 term, _ = self.natural_app(1)
                 actions.append(term)
 
-        ctx = Context(
-            self.sorts,
-            self.edges,
-            self.ranks,
+        ctx = self.base_ctx.with_typings(
             var_types={n: GroundType(d) for n, d in self.var_types.items()},
             star_types={n: GroundType(d) for n, d in self.star_types.items()},
         )

@@ -149,3 +149,39 @@ def test_too_deep_nesting_is_a_parse_error(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(rf"{re.escape(str(path))}:7:\d+: parse error: [^\n]+\n", captured.err)
+
+
+@pytest.mark.parametrize("command, next_rule", [
+    ("check", "rule 2: well-typed"),
+    ("infer", "rule 2: Γ = {t : Z^L}"),
+    ("solve", "rule 2: solved σ = {"),
+])
+def test_rule_error_reports_once_and_later_rules_run(capsys, tmp_path, command, next_rule):
+    # A check rejection and an inference error give the same entry and line.
+    ann = "Z" if command == "check" else "?"
+    path = tmp_path / "arity.rules"
+    path.write_text(SOURCE.format(pattern="s(c(),c())", ann=ann))
+    error = {"kind": "ArityMismatch", "path": "cond.pattern",
+             "detail": "s expects 1 arguments, got 2"}
+
+    assert cli.run([command, str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (f"{path}:7:1: rule 1: error ArityMismatch at cond.pattern: "
+                        "s expects 1 arguments, got 2")
+    assert lines[1].startswith(next_rule)
+
+    assert cli.run([command, "--format", "json", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit"] == 1
+    assert report["rules"][0] == {"index": 1, "outcome": "error", "error": error}
+    assert report["rules"][1]["index"] == 2 and "error" not in report["rules"][1]
+
+
+def test_usage_error_leaves_the_next_run_intact(capsys, fixtures_dir):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run(["bogus"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    assert cli.run(["check", "--trace", str(fixtures_dir / "example2.rules")]) == 0
+    golden = (fixtures_dir / "golden" / "fig3_check.txt").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == golden

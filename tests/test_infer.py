@@ -4,6 +4,7 @@ import support
 from support import a, g
 
 from ruletypes import (
+    CheckErr,
     Conj,
     Context,
     Eq,
@@ -17,7 +18,10 @@ from ruletypes import (
     StarVar,
     Sub,
     SynApp,
+    SynRank,
     Var,
+    check_term,
+    dsort,
     infer_cond,
     infer_rule,
     infer_term,
@@ -184,6 +188,37 @@ def test_rule_with_undeclared_action():
     with pytest.raises(InferError) as exc:
         infer_rule(gamma, Rule(rule.cond, (Var("w"),)), fresh)
     assert exc.value.kind is ErrKind.UNDECLARED_VARIABLE
+
+
+def _malformed_terms():
+    x, y, q, one = StarVar("x"), Var("y"), Var("q"), SynApp("one")
+    return {
+        "g()": SynApp("g"),
+        "s(x*)": SynApp("s", (x,)),
+        "s()": SynApp("s"),
+        "s(one(),one())": SynApp("s", (one, one)),
+        "m()": ListApp("m"),
+        "l(y,s(x*,q))": ListApp("l", (y, SynApp("s", (x, q)))),
+        "s(x*,x*,y)": SynApp("s", (x, x, y)),
+        "s(q)": SynApp("s", (q,)),
+        "l(w*)": ListApp("l", (StarVar("w"),)),
+    }
+
+
+@pytest.mark.parametrize("text", list(_malformed_terms()))
+def test_checking_and_inference_reject_at_the_same_place(text):
+    # Both algorithms diagnose a malformed term with the same kind and path.
+    base = support.gamma_ex()
+    ctx = Context(sorts=base.sorts, subsorts=base.subsort_decls,
+                  ranks=[*base.syn_ranks.values(), *base.var_ranks.values(),
+                         SynRank.make("s", [Sort("Z")], Sort("N"))],
+                  var_types=base.var_types, star_types=base.star_types)
+    term = _malformed_terms()[text]
+    checked = check_term(ctx, term, dsort("Z"))
+    assert isinstance(checked, CheckErr)
+    with pytest.raises(InferError) as exc:
+        infer_term(ctx, term, FreshSupply())
+    assert (exc.value.kind, exc.value.path) == (checked.kind, checked.path)
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,10 @@ def test_minimal_instance_shape():
 
 
 def test_seed_zero_instance_is_pinned(fixtures_dir):
-    golden = (fixtures_dir / "corpus" / "seed_000.rules").read_text()
-    assert render_instance(*gen_instance(0)) == golden
+    # Every committed corpus file, seeds 0-19, under the test's original name.
+    for seed in range(20):
+        golden = (fixtures_dir / "corpus" / f"seed_{seed:03}.rules").read_text()
+        assert render_instance(*gen_instance(seed)) == golden, f"seed {seed}"
 
 
 def test_corpus_summary_is_reproduced(fixtures_dir):
