@@ -26,7 +26,6 @@ from .core import (
     StarVar,
     SynApp,
     Term,
-    TypeVar,
     Var,
     WT,
 )
@@ -53,23 +52,18 @@ CheckOutcome = Union[WellTyped, CheckErr]
 # ---------------------------------------------------------------------------
 # Decorated system
 
-def _declared_dsort(ctx: Context, e: Term, path: str) -> DecoratedSort:
-    tt = ctx.raw_typing(e)
+def _declared_dsort(ctx: Context, e: Term, path: str, star_ok: bool = False) -> DecoratedSort:
+    tt = ctx.declared_typing(e, path, star_ok)
     if isinstance(tt, GroundType):
         return tt.dsort
-    if isinstance(tt, TypeVar):
-        raise RuleError(ErrKind.UNDECLARED_VARIABLE, path,
-                        f"{e} is typed by a type variable; checking needs a ground typing")
-    raise RuleError(ErrKind.UNDECLARED_VARIABLE, path, f"{e} has no declared type")
+    raise RuleError(ErrKind.UNDECLARED_VARIABLE, path,
+                    f"{e} is typed by a type variable; checking needs a ground typing")
 
 
 def _structural(ctx: Context, e: Term, path: str, star_ok: bool = False) -> Derivation:
     if isinstance(e, (Var, StarVar)):
-        if isinstance(e, StarVar) and not star_ok:
-            raise RuleError(ErrKind.STAR_OUTSIDE_LIST, path,
-                            f"star variable {e} may only appear directly inside a list application")
         rule = "T-Var" if isinstance(e, Var) else "T-SVar"
-        return Derivation(rule, e, GroundType(_declared_dsort(ctx, e, path)))
+        return Derivation(rule, e, GroundType(_declared_dsort(ctx, e, path, star_ok)))
 
     if isinstance(e, SynApp):
         rank = ctx.syn_rank(e, path)
@@ -88,7 +82,7 @@ def _structural(ctx: Context, e: Term, path: str, star_ok: bool = False) -> Deri
         for i, (_, arg, step) in reversed(steps):
             if step == STAR:
                 arg_path = f"{path}.arg[{i}]"
-                declared = _declared_dsort(ctx, arg, arg_path)
+                declared = _declared_dsort(ctx, arg, arg_path, star_ok=True)
                 if declared != codomain:
                     raise RuleError(ErrKind.EXPECTED_LIST_TYPE, arg_path,
                                     f"star variable {arg} is typed {declared}, but {e.op} builds {codomain}")
@@ -166,10 +160,7 @@ def check_rule(ctx: Context, r: Rule) -> CheckOutcome:
         premises = [_check_cond(ctx, r.cond, "cond")]
         for i, action in enumerate(r.actions):
             path = f"action[{i}]"
-            expected = ctx.sortof(action)
-            if expected is None:
-                raise RuleError(ErrKind.UNDECLARED_VARIABLE, path, f"{action} has no declared type")
-            premises.append(_check(ctx, action, expected, path))
+            premises.append(_check(ctx, action, _declared_dsort(ctx, action, path), path))
         return WellTyped(Derivation("T-Rule", r, WT, tuple(premises)))
     except RuleError as exc:
         return CheckErr(exc.kind, exc.path, exc.detail)

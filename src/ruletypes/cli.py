@@ -120,16 +120,17 @@ def _arg_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", nargs="?", help="input file; omit with --seed")
-        p.add_argument("--trace", action="store_true",
-                       help="print derivation trees and solver steps")
+        if name != "validate":
+            p.add_argument("--trace", action="store_true",
+                           help="print derivation trees and solver steps")
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--seed", type=int, default=None,
                        help="run on generated corpus instance N instead of a file")
-        p.add_argument("--max-enum", type=int, default=1_000_000,
-                       help="budget for brute-force enumeration")
         if name == "solve":
             p.add_argument("--oracle", action="store_true",
                            help="cross-check the outcome against brute-force enumeration")
+            p.add_argument("--max-enum", type=int, default=1_000_000,
+                           help="budget for brute-force enumeration with --oracle")
     return parser
 
 
@@ -282,7 +283,7 @@ def run(argv: list[str]) -> int:
         mode_problems = [f"{name}:{d.pos}: check mode needs a ground typing for "
                          f"{getattr(d, 'name', '?')}" for d in sf.fresh_marked]
         for decl in sf.rules:
-            if any(m.ann is None for m in decl.conds):
+            if any(m.at is None for m in decl.conds):
                 mode_problems.append(
                     f"{name}:{decl.pos}: check mode needs ground match annotations")
         if mode_problems:

@@ -290,6 +290,22 @@ class Context:
             star_types=star_types,
         )
 
+    def declared_typing(self, e: Term, path: str, star_ok: bool = False) -> TypeTerm:
+        """The declared type term of ``e``'s head at ``path`` (see
+        :meth:`raw_typing`), or the diagnosis of why it has none.
+
+        A star variable stands for a list segment, so outside a list
+        (``star_ok`` false) it is ``STAR_OUTSIDE_LIST`` before its typing is
+        looked up; a head with no typing is ``UNDECLARED_VARIABLE``.
+        """
+        if isinstance(e, StarVar) and not star_ok:
+            raise RuleError(ErrKind.STAR_OUTSIDE_LIST, path,
+                            f"star variable {e} may only appear directly inside a list application")
+        tt = self.raw_typing(e)
+        if tt is None:
+            raise RuleError(ErrKind.UNDECLARED_VARIABLE, path, f"{e} has no declared type")
+        return tt
+
     def syn_rank(self, e: SynApp, path: str) -> SynRank:
         """The rank of a syntactic application at ``path``, or the diagnosis
         of why it has none that fits.

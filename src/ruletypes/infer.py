@@ -117,13 +117,12 @@ def _infer_term(
     path: str,
     out: list[Constraint],
     pin: TypeVar | None = None,
+    star_ok: bool = False,
 ) -> tuple[TypeVar, Derivation]:
     # Appends the subtree's constraints to ``out`` in post-order; each node
     # keeps only the constraints its own rule emits.
     if isinstance(e, (Var, StarVar)):
-        binding = ctx.raw_typing(e)
-        if binding is None:
-            raise RuleError(ErrKind.UNDECLARED_VARIABLE, path, f"{e} has no typing")
+        binding = ctx.declared_typing(e, path, star_ok)
         alpha = pin or fresh.fresh()
         own = [Eq(alpha, binding)]
         out.extend(own)
@@ -151,7 +150,7 @@ def _infer_term(
         for i, (prefix, arg, step) in enumerate(ctx.list_steps(e)):
             # A star or merged list concludes at the spine's own variable.
             av, ad = _infer_term(ctx, arg, fresh, f"{path}.arg[{i}]", out,
-                                 pin=None if step == ELEM else alpha)
+                                 pin=None if step == ELEM else alpha, star_ok=True)
             own = [spine, Sub(av, GroundType(rank.elem))] if step == ELEM else [spine]
             out.extend(own)
             d = Derivation(f"CT-{step}", prefix, alpha, (d, ad), ConstraintSet(own))
@@ -202,11 +201,9 @@ def infer_rule(ctx: Context, r: Rule, fresh: FreshSupply) -> InferResult:
     action_typings: list[TypeTerm] = []
     for i, action in enumerate(r.actions):
         path = f"action[{i}]"
-        if isinstance(action, StarVar):
-            raise RuleError(ErrKind.STAR_OUTSIDE_LIST, path,
-                            f"star variable {action} cannot be an action term")
         typing = ctx.raw_typing(action)
-        if typing is None:
+        if typing is None and not isinstance(action, (Var, StarVar)):
+            # An application with no rank; a variable is diagnosed below.
             raise RuleError(ErrKind.UNDECLARED_VARIABLE, path, f"{action} has no declared typing")
         action_typings.append(typing)
         _, ad = _infer_term(ctx, action, fresh, path, constraints)

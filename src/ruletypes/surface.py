@@ -1,7 +1,12 @@
 """Surface syntax: a line-oriented declaration format for signatures and
 rules, with positioned parse errors, a canonical pretty-printer (the
 round-trip surface the golden tests pin), and resolution of parsed rules
-into core terms against a context.
+against a context.
+
+The parser yields core values: ranks, ground types, matches and terms.  It
+cannot tell a variadic operator from a syntactic one, so every application
+is parsed as a syntactic one; :func:`resolve_rule` reads the applications
+against the context's ranks.
 
 The format, one declaration per line, ``//`` comments::
 
@@ -33,7 +38,6 @@ from .core import (
     StarVar,
     SynApp,
     Term,
-    TypeTerm,
     Var,
 )
 
@@ -66,58 +70,38 @@ class SortDecl:
 
 @dataclass(frozen=True)
 class OpDecl:
-    name: str
-    domain: tuple[str, ...]
-    codomain: str
+    rank: SynRank
     pos: Pos = field(default=Pos(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class VopDecl:
-    name: str
-    elem: str
-    codomain: str
+    rank: VariadicRank
     pos: Pos = field(default=Pos(0, 0), compare=False)
 
 
-# A type annotation: None for a fresh `?`, else (sort, decoration-or-None).
-TypeAnn = Union[None, tuple[str, Union[str, None]]]
-
+# A typing or match annotation is None for the fresh marker `?`.
 
 @dataclass(frozen=True)
 class VarDecl:
     name: str
-    ann: TypeAnn
+    ann: GroundType | None
     pos: Pos = field(default=Pos(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class SvarDecl:
     name: str
-    ann: TypeAnn
+    ann: GroundType | None
     pos: Pos = field(default=Pos(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
-class RawApp:
-    op: str
-    args: tuple["RawTerm", ...]
-
-
-RawTerm = Union[Var, StarVar, RawApp]
-
-
-@dataclass(frozen=True)
-class RawMatch:
-    pattern: RawTerm
-    ann: TypeAnn
-    subject: RawTerm
-
-
-@dataclass(frozen=True)
 class RuleDecl:
-    conds: tuple[RawMatch, ...]
-    actions: tuple[RawTerm, ...]
+    """A rule as parsed: every application is still a :class:`SynApp`."""
+
+    conds: tuple[Match, ...]
+    actions: tuple[Term, ...]
     pos: Pos = field(default=Pos(0, 0), compare=False)
 
 
@@ -155,6 +139,7 @@ _TOKEN_RE = re.compile(
 class _Token:
     text: str
     pos: Pos
+    is_ident: bool
 
 
 def _tokenize(line: str, lineno: int) -> list[_Token]:
@@ -168,7 +153,7 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
         if m is None:
             raise ParseError(f"unexpected character {line[i]!r}", Pos(lineno, i + 1))
         if m.lastgroup != "ws":
-            tokens.append(_Token(m.group(), Pos(lineno, i + 1)))
+            tokens.append(_Token(m.group(), Pos(lineno, i + 1), m.lastgroup == "ident"))
         i = m.end()
     return tokens
 
@@ -198,7 +183,7 @@ class _Cursor:
 
     def take_ident(self, what: str) -> _Token:
         tok = self.take(None)
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*[+\-]?", tok.text):
+        if not tok.is_ident:
             raise ParseError(f"expected {what}, found {tok.text!r}", tok.pos)
         return tok
 
@@ -211,22 +196,22 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 # Parser
 
-def _parse_type_ann(cur: _Cursor) -> TypeAnn:
+def _parse_type_ann(cur: _Cursor) -> GroundType | None:
     if cur.peek() == "?":
         cur.take()
         return None
     sort = cur.take_ident("a sort name").text
+    deco = None
     if cur.peek() == "^":
         cur.take()
         if cur.peek() == "?":
             cur.take()
-            return (sort, None)
-        deco = cur.take_ident("a decoration").text
-        return (sort, deco)
-    return (sort, None)
+        else:
+            deco = cur.take_ident("a decoration").text
+    return GroundType(DecoratedSort(Sort(sort), Decoration(deco)))
 
 
-def _parse_term(cur: _Cursor, star_ok: bool) -> RawTerm:
+def _parse_term(cur: _Cursor, star_ok: bool) -> Term:
     tok = cur.take_ident("a term")
     if cur.peek() == "*":
         cur.take()
@@ -236,19 +221,19 @@ def _parse_term(cur: _Cursor, star_ok: bool) -> RawTerm:
         return StarVar(tok.text)
     if cur.peek() == "(":
         cur.take()
-        args: list[RawTerm] = []
+        args: list[Term] = []
         if cur.peek() != ")":
             args.append(_parse_term(cur, star_ok=True))
             while cur.peek() == ",":
                 cur.take()
                 args.append(_parse_term(cur, star_ok=True))
         cur.take(")")
-        return RawApp(tok.text, tuple(args))
+        return SynApp(tok.text, tuple(args))
     return Var(tok.text)
 
 
 def _parse_rule(cur: _Cursor, pos: Pos) -> RuleDecl:
-    conds: list[RawMatch] = []
+    conds: list[Match] = []
     while True:
         pattern = _parse_term(cur, star_ok=False)
         cur.take("<<")
@@ -256,14 +241,14 @@ def _parse_rule(cur: _Cursor, pos: Pos) -> RuleDecl:
         ann = _parse_type_ann(cur)
         cur.take("]")
         subject = _parse_term(cur, star_ok=False)
-        conds.append(RawMatch(pattern, ann, subject))
+        conds.append(Match(pattern, subject, ann))
         if cur.peek() == "/\\":
             cur.take()
             continue
         break
     cur.take("->")
     cur.take("(")
-    actions: list[RawTerm] = []
+    actions: list[Term] = []
     if cur.peek() != ")":
         actions.append(_parse_term(cur, star_ok=False))
         while cur.peek() == ",":
@@ -295,20 +280,20 @@ def parse(source: str) -> SourceFile:
         elif head.text == "op":
             name = cur.take_ident("an operator name").text
             cur.take(":")
-            domain: list[str] = []
+            domain: list[Sort] = []
             while cur.peek() != "->":
-                domain.append(cur.take_ident("a sort name").text)
+                domain.append(Sort(cur.take_ident("a sort name").text))
             cur.take("->")
-            codomain = cur.take_ident("a sort name").text
-            decls.append(OpDecl(name, tuple(domain), codomain, pos))
+            codomain = Sort(cur.take_ident("a sort name").text)
+            decls.append(OpDecl(SynRank.make(name, domain, codomain), pos))
         elif head.text == "vop":
             name = cur.take_ident("an operator name").text
             cur.take(":")
-            elem = cur.take_ident("a sort name").text
+            elem = Sort(cur.take_ident("a sort name").text)
             cur.take("*")
             cur.take("->")
-            codomain = cur.take_ident("a sort name").text
-            decls.append(VopDecl(name, elem, codomain, pos))
+            codomain = Sort(cur.take_ident("a sort name").text)
+            decls.append(VopDecl(VariadicRank.make(name, elem, codomain), pos))
         elif head.text == "var":
             name = cur.take_ident("a variable name").text
             cur.take(":")
@@ -333,41 +318,22 @@ def parse(source: str) -> SourceFile:
 # ---------------------------------------------------------------------------
 # Pretty-printing (canonical form; parse . pretty . parse is the identity)
 
-def _ann_str(ann: TypeAnn) -> str:
-    if ann is None:
-        return "?"
-    sort, deco = ann
-    return f"{sort}^{deco if deco is not None else '?'}"
-
-
-def _raw_term_str(t: RawTerm) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, StarVar):
-        return f"{t.name}*"
-    return f"{t.op}({','.join(_raw_term_str(a) for a in t.args)})"
-
-
 def pretty(sf: SourceFile) -> str:
     lines = []
     for d in sf.decls:
         if isinstance(d, SortDecl):
             lines.append(f"sort {d.name}" + (f" <: {d.supersort}" if d.supersort else ""))
         elif isinstance(d, OpDecl):
-            doms = " ".join(d.domain)
-            lines.append(f"op {d.name} : {doms}{' ' if doms else ''}-> {d.codomain}")
+            lines.append(f"op {d.rank}")
         elif isinstance(d, VopDecl):
-            lines.append(f"vop {d.name} : {d.elem}* -> {d.codomain}")
+            lines.append(f"vop {d.rank}")
         elif isinstance(d, VarDecl):
-            lines.append(f"var {d.name} : {_ann_str(d.ann)}")
+            lines.append(f"var {d.name} : {d.ann or '?'}")
         elif isinstance(d, SvarDecl):
-            lines.append(f"svar {d.name}* : {_ann_str(d.ann)}")
+            lines.append(f"svar {d.name}* : {d.ann or '?'}")
         else:
-            conds = " /\\ ".join(
-                f"{_raw_term_str(m.pattern)} << [{_ann_str(m.ann)}] {_raw_term_str(m.subject)}"
-                for m in d.conds)
-            actions = ", ".join(_raw_term_str(a) for a in d.actions)
-            lines.append(f"rule {conds} -> ({actions})")
+            conds = " /\\ ".join(str(m) for m in d.conds)
+            lines.append(f"rule {conds} -> ({', '.join(str(a) for a in d.actions)})")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -381,38 +347,17 @@ def build_context(sf: SourceFile) -> Context:
     sorts = [Sort(d.name) for d in sf.decls if isinstance(d, SortDecl)]
     edges = [(Sort(d.name), Sort(d.supersort))
              for d in sf.decls if isinstance(d, SortDecl) and d.supersort]
-    ranks: list[SynRank | VariadicRank] = []
-    for d in sf.decls:
-        if isinstance(d, OpDecl):
-            ranks.append(SynRank.make(d.name, [Sort(s) for s in d.domain], Sort(d.codomain)))
-        elif isinstance(d, VopDecl):
-            ranks.append(VariadicRank.make(d.name, Sort(d.elem), Sort(d.codomain)))
-
-    def to_type(ann: TypeAnn) -> TypeTerm | None:
-        if ann is None:
-            return None
-        sort, deco = ann
-        return GroundType(DecoratedSort(Sort(sort), Decoration(deco)))
-
-    var_types = []
-    star_types = []
-    for d in sf.decls:
-        if isinstance(d, VarDecl):
-            tt = to_type(d.ann)
-            if tt is not None:
-                var_types.append((d.name, tt))
-        elif isinstance(d, SvarDecl):
-            tt = to_type(d.ann)
-            if tt is not None:
-                star_types.append((d.name, tt))
+    ranks = [d.rank for d in sf.decls if isinstance(d, (OpDecl, VopDecl))]
+    var_types = [(d.name, d.ann) for d in sf.decls if isinstance(d, VarDecl) and d.ann]
+    star_types = [(d.name, d.ann) for d in sf.decls if isinstance(d, SvarDecl) and d.ann]
     return Context(sorts, edges, ranks, var_types, star_types)
 
 
-def resolve_term(t: RawTerm, ctx: Context) -> Term:
-    """Resolve parsed applications against the context's rank tables; an
-    operator with no rank resolves to a syntactic application so the checker
-    reports it."""
-    if isinstance(t, (Var, StarVar)):
+def resolve_term(t: Term, ctx: Context) -> Term:
+    """Read the parsed applications against the context's rank tables: one
+    whose operator has a variadic rank becomes a list application; any other
+    stays syntactic, so the checker reports an operator with no rank."""
+    if not isinstance(t, SynApp):
         return t
     args = tuple(resolve_term(a, ctx) for a in t.args)
     if t.op in ctx.var_ranks:
@@ -421,14 +366,8 @@ def resolve_term(t: RawTerm, ctx: Context) -> Term:
 
 
 def resolve_rule(decl: RuleDecl, ctx: Context) -> Rule:
-    conds: list[Cond] = []
-    for m in decl.conds:
-        if m.ann is None:
-            at: TypeTerm | None = None
-        else:
-            sort, deco = m.ann
-            at = GroundType(DecoratedSort(Sort(sort), Decoration(deco)))
-        conds.append(Match(resolve_term(m.pattern, ctx), resolve_term(m.subject, ctx), at))
+    conds: list[Cond] = [Match(resolve_term(m.pattern, ctx), resolve_term(m.subject, ctx), m.at)
+                         for m in decl.conds]
     cond: Cond = conds[0] if len(conds) == 1 else Conj(tuple(conds))
     return Rule(cond, tuple(resolve_term(a, ctx) for a in decl.actions))
 

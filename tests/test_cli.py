@@ -17,6 +17,7 @@ from ruletypes import cli
     (["check", "--trace", "--format", "json"], "example2.rules", "example2_check.json"),
     (["solve"], "example4.rules", "example4_solve.txt"),
     (["solve", "--trace", "--format", "json"], "example4.rules", "example4_solve_trace.json"),
+    (["solve", "--trace"], "example4.rules", "example4_solve_trace.txt"),
 ])
 def test_output_matches_golden(capsys, fixtures_dir, argv, source, golden):
     assert cli.run(argv + [str(fixtures_dir / source)]) == 0
@@ -185,3 +186,43 @@ def test_usage_error_leaves_the_next_run_intact(capsys, fixtures_dir):
     assert cli.run(["check", "--trace", str(fixtures_dir / "example2.rules")]) == 0
     golden = (fixtures_dir / "golden" / "fig3_check.txt").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+def test_validate_reports_ok_or_the_violations(capsys, tmp_path, example2_path):
+    assert cli.run(["validate", str(example2_path)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+    path = tmp_path / "cycle.rules"
+    path.write_text("sort A <: B\nsort B <: A\n")
+    assert cli.run(["validate", "--format", "json", str(path)]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "validate", "ok": False,
+        "violations": [{"kind": "subsort-cycle", "detail": "subsort cycle through A <: B <: A"}]}
+
+
+@pytest.mark.parametrize("source, code, outcome, verdict", [
+    ("example4.rules", 0,
+     "solved σ = {α1 ↦ Z^l, α2 ↦ Z^?, α3 ↦ Z^l, α4 ↦ Z^l, α5 ↦ Z^l, α6 ↦ Z^?, "
+     "α7 ↦ Z^l, α8 ↦ N^one, α9 ↦ Z^?}",
+     "oracle agrees"),
+    ("corpus/seed_017.rules", 1, "failed by detection rule (4) on S2^f2 <:_s S3^?",
+     "oracle agrees"),
+    ("stuck.rules", 4, "stuck with residual {α1 <:_s α7, α1 <:_s S0^?, S0^L1 <:_s α7}",
+     "oracle: set is satisfiable (outcome stuck)"),
+])
+def test_solve_oracle_reports_its_verdict(capsys, fixtures_dir, source, code, outcome, verdict):
+    assert cli.run(["solve", "--oracle", str(fixtures_dir / source)]) == code
+    assert capsys.readouterr().out.splitlines() == [f"rule 1: {outcome}", f"rule 1: {verdict}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--trace"],
+    ["check", "--max-enum", "1"],
+    ["infer", "--max-enum", "1"],
+    ["validate", "--max-enum", "1"],
+])
+def test_options_exist_only_where_they_are_read(capsys, example2_path, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run(argv + [str(example2_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

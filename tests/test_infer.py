@@ -20,6 +20,7 @@ from ruletypes import (
     SynApp,
     SynRank,
     Var,
+    check_rule,
     check_term,
     dsort,
     infer_cond,
@@ -202,6 +203,8 @@ def _malformed_terms():
         "s(x*,x*,y)": SynApp("s", (x, x, y)),
         "s(q)": SynApp("s", (q,)),
         "l(w*)": ListApp("l", (StarVar("w"),)),
+        "x*": x,
+        "w*": StarVar("w"),
     }
 
 
@@ -219,6 +222,22 @@ def test_checking_and_inference_reject_at_the_same_place(text):
     with pytest.raises(InferError) as exc:
         infer_term(ctx, term, FreshSupply())
     assert (exc.value.kind, exc.value.path) == (checked.kind, checked.path)
+
+
+@pytest.mark.parametrize("rule, path", [
+    (Rule(Match(StarVar("x"), Var("y"), g("Z")), ()), "cond.pattern"),
+    (Rule(Match(Var("y"), Var("y"), g("Z")), (StarVar("w"),)), "action[0]"),
+], ids=["declared-pattern", "undeclared-action"])
+def test_a_bare_star_is_rejected_by_both_algorithms(rule, path):
+    # A star variable stands for a list segment, so outside a list it is
+    # diagnosed before its typing is looked up, whether declared (x*) or not (w*).
+    ctx = support.gamma_ex()
+    checked = check_rule(ctx, rule)
+    assert isinstance(checked, CheckErr)
+    assert (checked.kind, checked.path) == (ErrKind.STAR_OUTSIDE_LIST, path)
+    with pytest.raises(InferError) as exc:
+        infer_rule(ctx, rule, FreshSupply())
+    assert (exc.value.kind, exc.value.path) == (ErrKind.STAR_OUTSIDE_LIST, path)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import support
 from support import a, g
 
 from ruletypes import (
+    Conj,
     ConstraintSet,
     Eq,
     FreshSupply,
@@ -17,6 +18,7 @@ from ruletypes import (
     Var,
     WellTyped,
     check_rule,
+    check_term,
     dsort,
     infer_rule,
     init_context,
@@ -91,6 +93,23 @@ def test_search_rejects_the_impossible_list_typing(gamma_ex):
 
 def test_search_accepts_the_empty_list_axiom(gamma_ex):
     assert derivation_search(gamma_ex, ListApp("l"), dsort("Z", "l"))
+
+
+def test_search_agrees_with_the_checker_on_generated_match_sides():
+    # Both sides of every generated match, checked against its annotation:
+    # the checker's deterministic strategy and the backward search over all
+    # rule instances accept exactly the same sides.
+    lists = 0
+    for seed in range(300):
+        ctx, rule = gen_instance(seed)
+        conds = rule.cond.conds if isinstance(rule.cond, Conj) else (rule.cond,)
+        for match in conds:
+            for side in (match.pattern, match.subject):
+                at = match.at.dsort
+                checked = isinstance(check_term(ctx, side, at), WellTyped)
+                assert checked == derivation_search(ctx, side, at), (seed, str(side), str(at))
+                lists += isinstance(side, ListApp) and bool(side.args)
+    assert lists > 0  # the search's non-empty list rules are reached
 
 
 # ---------------------------------------------------------------------------

@@ -101,12 +101,48 @@ def test_fresh_markers_are_tracked():
     assert "z" in ctx.var_types and "x" not in ctx.var_types
 
 
-def test_round_trip_on_fixtures(example2_path, example4_path, fixtures_dir):
-    sources = [example2_path.read_text(), example4_path.read_text()]
-    sources += [p.read_text() for p in sorted((fixtures_dir / "corpus").glob("*.rules"))]
+def test_round_trip_on_fixtures(fixtures_dir):
+    paths = sorted(fixtures_dir.glob("*.rules")) + sorted((fixtures_dir / "corpus").glob("*.rules"))
+    assert {"example2.rules", "example4.rules", "lists.rules", "stuck.rules"} <= {p.name for p in paths}
+    sources = [p.read_text() for p in paths]
     for source in sources:
         sf = parse(source)
         assert parse(pretty(sf)) == sf
+
+
+EVERY_FORM = """\
+// every declaration form, in non-canonical spacing
+sort Int
+sort Int+ <: Int
+sort Int-<:Int
+op c : -> Int+
+op f : Int- Int -> Int
+vop L : Int* -> Int
+var x : ?
+var y : Int
+var z : Int^L
+svar w* : ?
+svar v* : Int^L
+rule L(v*, f(x, c()), L(y, w*)) << [Int] z /\\ x << [Int^L] y /\\ y << [?] c() -> ()
+rule x << [Int+^?] c() -> (y, f(x,y))
+"""
+
+
+def test_pretty_prints_the_canonical_form():
+    assert pretty(parse(EVERY_FORM)) == (
+        "sort Int\n"
+        "sort Int+ <: Int\n"
+        "sort Int- <: Int\n"
+        "op c : -> Int+\n"
+        "op f : Int- Int -> Int\n"
+        "vop L : Int* -> Int\n"
+        "var x : ?\n"
+        "var y : Int^?\n"
+        "var z : Int^L\n"
+        "svar w* : ?\n"
+        "svar v* : Int^L\n"
+        "rule L(v*,f(x,c()),L(y,w*)) << [Int^?] z /\\ x << [Int^L] y /\\ y << [?] c() -> ()\n"
+        "rule x << [Int+^?] c() -> (y, f(x,y))\n")
 
 
 def test_round_trip_on_generated_instances():
