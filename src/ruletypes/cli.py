@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from itertools import chain
-from typing import Any
+from json.encoder import encode_basestring
+from typing import Any, Iterator
 
 from . import checker, oracle, solver
 from .context import Context, ErrKind, RuleError, validate
@@ -86,19 +86,56 @@ def constraint_json(c: Constraint) -> dict[str, str]:
 
 def derivation_json(d: Derivation) -> dict[str, Any]:
     sets = _judgment_constraints(d)
-
-    def node_json(node: Derivation) -> dict[str, Any]:
+    root: list[dict[str, Any]] = []
+    stack = [(d, root)]  # a node, and its parent's premise list
+    while stack:
+        node, siblings = stack.pop()
         conclusion: dict[str, Any] = {"subject": str(node.subject), "type": str(node.type)}
         if node.constraints is not None:
             conclusion["constraints"] = [constraint_json(c) for c in sets[id(node)]]
-        return {"rule": node.rule, "conclusion": conclusion,
-                "premises": [node_json(p) for p in node.premises]}
-
-    return node_json(d)
+        siblings.append({"rule": node.rule, "conclusion": conclusion, "premises": []})
+        stack.extend((p, siblings[-1]["premises"]) for p in reversed(node.premises))
+    return root[0]
 
 
 def subst_json(s: Substitution) -> list[dict[str, str]]:
     return [{"var": f"α{v}", "type": str(t)} for v, t in s.items()]
+
+
+def json_text(value: Any) -> str:
+    """``json.dumps(value, ensure_ascii=False, indent=2)`` for a report (dicts
+    with string keys, lists, strings, ints, booleans, None), written in one
+    pass with an explicit stack, so that any nesting depth renders."""
+    out: list[str] = []
+    # The open container's (key, item) pairs left, kind and indent; the stack holds its parents'.
+    pairs: Iterator[tuple[Any, Any]] = iter([(None, value)])
+    is_dict, pad, sep = False, "\n", ""
+    stack: list[tuple[Iterator[tuple[Any, Any]], bool, str]] = []
+    while True:
+        for key, value in pairs:
+            out.append(sep + encode_basestring(key) + ": " if is_dict else sep)
+            sep = "," + pad
+            if isinstance(value, str):
+                out.append(encode_basestring(value))
+            elif isinstance(value, (dict, list)):
+                stack.append((pairs, is_dict, pad))
+                is_dict = isinstance(value, dict)
+                pairs = iter(value.items()) if is_dict else enumerate(value)
+                out.append("{" if is_dict else "[")
+                pad += "  "
+                sep = pad
+                break
+            elif value is None or isinstance(value, bool):
+                out.append("null" if value is None else "true" if value else "false")
+            else:
+                out.append(int.__repr__(value))  # a TypeError for any other type
+        else:
+            if not stack:
+                return "".join(out)
+            # An empty container closes on its opening line.
+            out.append(("" if sep == pad else stack[-1][2]) + ("}" if is_dict else "]"))
+            pairs, is_dict, pad = stack.pop()
+            sep = "," + pad
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +173,18 @@ def _arg_parser() -> argparse.ArgumentParser:
 
 def _run_rule(args: argparse.Namespace, ctx: Context, decl: RuleDecl,
               index: int, entry: dict[str, Any], out: list[str]) -> int:
-    """Check, infer or solve one rule, filling its report entry and text
-    lines; returns the rule's exit code, or raises :class:`RuleError` when
-    the rule gets no verdict.  ``--trace`` output is built only for the
-    selected format."""
+    """Check, infer or solve one rule, filling its report entry for JSON or
+    its text lines; returns the rule's exit code, or raises
+    :class:`RuleError` when the rule gets no verdict.  Constraint sets,
+    substitutions and traces are rendered only in the selected format."""
     try:
         rule = resolve_rule(decl, ctx)
-        json_trace = args.trace and args.format == "json"
-        text_trace = args.trace and not json_trace
+        as_json = args.format == "json"
 
         def trace_derivation(d: Derivation) -> None:
-            if json_trace:
+            if args.trace and as_json:
                 entry["derivation"] = derivation_json(d)
-            if text_trace:
+            elif args.trace:
                 out.append(render_derivation(d))
 
         if args.command == "check":
@@ -166,43 +202,48 @@ def _run_rule(args: argparse.Namespace, ctx: Context, decl: RuleDecl,
         result = infer_rule(gamma, rule, fresh)
 
         typings = list(gamma.var_types.items()) + [(f"{n}*", t) for n, t in gamma.star_types.items()]
-        entry["context"] = [{"name": n, "type": str(t)} for n, t in typings]
-        entry["constraints"] = [constraint_json(c) for c in result.constraints]
+        if as_json:
+            entry["context"] = [{"name": n, "type": str(t)} for n, t in typings]
+            entry["constraints"] = [constraint_json(c) for c in result.constraints]
 
         if args.command == "infer":
-            out.append(f"rule {index}: Γ = {{{', '.join(f'{n} : {t}' for n, t in typings)}}}")
-            out.append(f"rule {index}: C = {result.constraints}")
+            if not as_json:
+                out.append(f"rule {index}: Γ = {{{', '.join(f'{n} : {t}' for n, t in typings)}}}")
+                out.append(f"rule {index}: C = {result.constraints}")
             trace_derivation(result.derivation)
             return 0
 
-        code = 0
         outcome = solver.solve(gamma, result.constraints)
-        if text_trace:
+        if args.trace and not as_json:
             out.append(f"rule {index}: C = {result.constraints}")
         trace_derivation(result.derivation)
         if isinstance(outcome, solver.Solved):
-            entry["result"] = "solved"
-            entry["substitution"] = subst_json(outcome.subst)
-            out.append(f"rule {index}: solved σ = {outcome.subst}")
+            code = 0
+            if as_json:
+                entry.update(result="solved", substitution=subst_json(outcome.subst))
+            else:
+                out.append(f"rule {index}: solved σ = {outcome.subst}")
         elif isinstance(outcome, solver.Failed):
-            entry["result"] = "failed"
-            entry["fail_rule"] = outcome.fail_rule
-            entry["witness"] = [constraint_json(c) for c in outcome.witness]
-            witness = ", ".join(str(c) for c in outcome.witness)
-            out.append(f"rule {index}: failed by detection rule ({outcome.fail_rule}) on {witness}")
             code = 1
+            if as_json:
+                entry.update(result="failed", fail_rule=outcome.fail_rule,
+                             witness=[constraint_json(c) for c in outcome.witness])
+            else:
+                witness = ", ".join(str(c) for c in outcome.witness)
+                out.append(f"rule {index}: failed by detection rule ({outcome.fail_rule}) on {witness}")
         else:
-            entry["result"] = "stuck"
-            entry["residual"] = [constraint_json(c) for c in outcome.residual]
-            out.append(f"rule {index}: stuck with residual {outcome.residual}")
             code = 4
-        if json_trace:
+            if as_json:
+                entry.update(result="stuck", residual=[constraint_json(c) for c in outcome.residual])
+            else:
+                out.append(f"rule {index}: stuck with residual {outcome.residual}")
+        if args.trace and as_json:
             entry["steps"] = [{"rule": s.rule,
                                "consumed": [constraint_json(c) for c in s.consumed],
                                "produced": [constraint_json(c) for c in s.produced],
                                "bound": [{"var": f"α{v}", "type": str(t)} for v, t in s.bound]}
                               for s in outcome.trace]
-        if text_trace:
+        elif args.trace:
             out.append(render_trace(outcome.trace))
 
         if args.oracle:
@@ -269,7 +310,7 @@ def run(argv: list[str]) -> int:
         report["ok"] = not violations
         report["violations"] = [{"kind": v.kind, "detail": v.detail} for v in violations]
         if as_json:
-            print(json.dumps(report, ensure_ascii=False, indent=2))
+            print(json_text(report))
         else:
             print("\n".join(out + ([str(v) for v in violations] or ["ok"])))
         return 3 if violations else 0
@@ -310,7 +351,7 @@ def run(argv: list[str]) -> int:
 
     if as_json:
         report["exit"] = max(codes)
-        print(json.dumps(report, ensure_ascii=False, indent=2))
+        print(json_text(report))
     elif out:
         print("\n".join(out))
     return max(codes)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import ELEM, Context, ErrKind, RuleError
+from .context import ELEM, Context, RuleError
 from .core import (
     Cond,
     Conj,
@@ -201,11 +201,7 @@ def infer_rule(ctx: Context, r: Rule, fresh: FreshSupply) -> InferResult:
     action_typings: list[TypeTerm] = []
     for i, action in enumerate(r.actions):
         path = f"action[{i}]"
-        typing = ctx.raw_typing(action)
-        if typing is None and not isinstance(action, (Var, StarVar)):
-            # An application with no rank; a variable is diagnosed below.
-            raise RuleError(ErrKind.UNDECLARED_VARIABLE, path, f"{action} has no declared typing")
-        action_typings.append(typing)
+        action_typings.append(ctx.declared_typing(action, path))
         _, ad = _infer_term(ctx, action, fresh, path, constraints)
         premises.append(ad)
     own = [Eq(typing, typing) for typing in action_typings if isinstance(typing, TypeVar)]

@@ -3,10 +3,13 @@ rules, with positioned parse errors, a canonical pretty-printer (the
 round-trip surface the golden tests pin), and resolution of parsed rules
 against a context.
 
-The parser yields core values: ranks, ground types, matches and terms.  It
-cannot tell a variadic operator from a syntactic one, so every application
-is parsed as a syntactic one; :func:`resolve_rule` reads the applications
-against the context's ranks.
+One regular-expression scan turns the whole file into a flat token list,
+lines broken where :meth:`str.splitlines` breaks them; the parser walks it
+with an integer cursor and works out a position only for a declaration head
+or an error.  It yields core values: ranks, ground types, matches and terms.
+It cannot tell a variadic operator from a syntactic one, so every
+application is parsed as a syntactic one; :func:`resolve_rule` reads the
+applications against the context's ranks.
 
 The format, one declaration per line, ``//`` comments::
 
@@ -126,71 +129,60 @@ class SourceFile:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+# One scan of the whole file.  Each match pairs the blanks and comment skipped
+# before a token with the token: a line break, an identifier, a symbol, or
+# else the rest of the file from an unexpected character on.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:\+|-(?!>))?)
-      | (?P<sym><<|<:|->|/\\|[:()\[\],^*?])
-    """,
+    r"""([^\S\n]*+(?://[^\n]*+)?)
+        (\n | [A-Za-z_][A-Za-z0-9_]*+(?:\+|-(?!>))? | <<|<:|->|/\\|[:()\[\],^*?] | [\s\S]+)""",
     re.VERBOSE,
 )
-
-
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    pos: Pos
-    is_ident: bool
-
-
-def _tokenize(line: str, lineno: int) -> list[_Token]:
-    cut = line.find("//")
-    if cut >= 0:
-        line = line[:cut]
-    tokens = []
-    i = 0
-    while i < len(line):
-        m = _TOKEN_RE.match(line, i)
-        if m is None:
-            raise ParseError(f"unexpected character {line[i]!r}", Pos(lineno, i + 1))
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.group(), Pos(lineno, i + 1), m.lastgroup == "ident"))
-        i = m.end()
-    return tokens
+_SYMBOLS = frozenset(["<<", "<:", "->", "/\\", ":", "(", ")", "[", "]", ",", "^", "*", "?"])
 
 
 class _Cursor:
-    def __init__(self, tokens: list[_Token], lineno: int, line_len: int):
+    """An integer cursor over the scanned tokens; every line ends in a
+    ``"\\n"`` token, and positions count the skipped text and tokens."""
+
+    def __init__(self, gaps: tuple[str, ...], tokens: tuple[str, ...]):
+        self.gaps = gaps
         self.tokens = tokens
         self.i = 0
-        self.end_pos = Pos(lineno, line_len + 1)
+        self.line = 1
+        self.start = 0  # index of the line's first token
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i].text if self.i < len(self.tokens) else None
+    def pos(self, i: int) -> Pos:
+        col = (1 + sum(map(len, self.gaps[self.start:i + 1]))
+               + sum(map(len, self.tokens[self.start:i])))
+        return Pos(self.line, col)
 
-    def pos(self) -> Pos:
-        return self.tokens[self.i].pos if self.i < len(self.tokens) else self.end_pos
+    def peek(self) -> str:
+        return self.tokens[self.i]
 
-    def take(self, expected: str | None = None) -> _Token:
-        if self.i >= len(self.tokens):
+    def take(self, expected: str | None = None) -> str:
+        tok = self.tokens[self.i]
+        if tok == "\n":
             raise ParseError(
                 f"unexpected end of line{f', expected {expected!r}' if expected else ''}",
-                self.end_pos)
-        tok = self.tokens[self.i]
-        if expected is not None and tok.text != expected:
-            raise ParseError(f"expected {expected!r}, found {tok.text!r}", tok.pos)
+                self.pos(self.i))
+        if expected is not None and tok != expected:
+            raise ParseError(f"expected {expected!r}, found {tok!r}", self.pos(self.i))
         self.i += 1
         return tok
 
-    def take_ident(self, what: str) -> _Token:
+    def take_ident(self, what: str) -> str:
         tok = self.take(None)
-        if not tok.is_ident:
-            raise ParseError(f"expected {what}, found {tok.text!r}", tok.pos)
+        if tok in _SYMBOLS:
+            raise ParseError(f"expected {what}, found {tok!r}", self.pos(self.i - 1))
         return tok
 
     def done(self) -> None:
-        if self.i < len(self.tokens):
-            tok = self.tokens[self.i]
-            raise ParseError(f"trailing input {tok.text!r}", tok.pos)
+        """Step over the end of the line, which must come next."""
+        if self.tokens[self.i] != "\n":
+            raise ParseError(f"trailing input {self.tokens[self.i]!r}", self.pos(self.i))
+        self.i += 1
+        self.line += 1
+        self.start = self.i
 
 
 # ---------------------------------------------------------------------------
@@ -200,25 +192,26 @@ def _parse_type_ann(cur: _Cursor) -> GroundType | None:
     if cur.peek() == "?":
         cur.take()
         return None
-    sort = cur.take_ident("a sort name").text
+    sort = cur.take_ident("a sort name")
     deco = None
     if cur.peek() == "^":
         cur.take()
         if cur.peek() == "?":
             cur.take()
         else:
-            deco = cur.take_ident("a decoration").text
+            deco = cur.take_ident("a decoration")
     return GroundType(DecoratedSort(Sort(sort), Decoration(deco)))
 
 
 def _parse_term(cur: _Cursor, star_ok: bool) -> Term:
-    tok = cur.take_ident("a term")
+    name = cur.take_ident("a term")
     if cur.peek() == "*":
         cur.take()
         if not star_ok:
             raise ParseError(
-                f"star variable {tok.text}* may only appear inside a list application", tok.pos)
-        return StarVar(tok.text)
+                f"star variable {name}* may only appear inside a list application",
+                cur.pos(cur.i - 2))
+        return StarVar(name)
     if cur.peek() == "(":
         cur.take()
         args: list[Term] = []
@@ -228,8 +221,8 @@ def _parse_term(cur: _Cursor, star_ok: bool) -> Term:
                 cur.take()
                 args.append(_parse_term(cur, star_ok=True))
         cur.take(")")
-        return SynApp(tok.text, tuple(args))
-    return Var(tok.text)
+        return SynApp(name, tuple(args))
+    return Var(name)
 
 
 def _parse_rule(cur: _Cursor, pos: Pos) -> RuleDecl:
@@ -262,56 +255,66 @@ def parse(source: str) -> SourceFile:
     """Parse a source file; raises :class:`ParseError` with a position on the
     first defect.  Unknown symbols are not resolved here; that is deferred to
     validation and checking."""
+    # Lines break where str.splitlines breaks them; the scan sees only "\n".
+    gaps, tokens = zip(*_TOKEN_RE.findall("\n".join(source.splitlines()) + "\n"))
+    end = len(tokens)
+    if tokens[-1] != "\n":
+        # The scan stopped at an unexpected character: parse the lines before its line.
+        end -= 1
+        while end and tokens[end - 1] != "\n":
+            end -= 1
+    cur = _Cursor(gaps, tokens)
     decls: list[Decl] = []
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        tokens = _tokenize(line, lineno)
-        if not tokens:
+    while cur.i < end:
+        if cur.peek() == "\n":
+            cur.done()
             continue
-        cur = _Cursor(tokens, lineno, len(line))
+        pos = cur.pos(cur.i)
         head = cur.take()
-        pos = head.pos
-        if head.text == "sort":
-            name = cur.take_ident("a sort name").text
+        if head == "sort":
+            name = cur.take_ident("a sort name")
             supersort = None
             if cur.peek() == "<:":
                 cur.take()
-                supersort = cur.take_ident("a sort name").text
+                supersort = cur.take_ident("a sort name")
             decls.append(SortDecl(name, supersort, pos))
-        elif head.text == "op":
-            name = cur.take_ident("an operator name").text
+        elif head == "op":
+            name = cur.take_ident("an operator name")
             cur.take(":")
             domain: list[Sort] = []
             while cur.peek() != "->":
-                domain.append(Sort(cur.take_ident("a sort name").text))
+                domain.append(Sort(cur.take_ident("a sort name")))
             cur.take("->")
-            codomain = Sort(cur.take_ident("a sort name").text)
+            codomain = Sort(cur.take_ident("a sort name"))
             decls.append(OpDecl(SynRank.make(name, domain, codomain), pos))
-        elif head.text == "vop":
-            name = cur.take_ident("an operator name").text
+        elif head == "vop":
+            name = cur.take_ident("an operator name")
             cur.take(":")
-            elem = Sort(cur.take_ident("a sort name").text)
+            elem = Sort(cur.take_ident("a sort name"))
             cur.take("*")
             cur.take("->")
-            codomain = Sort(cur.take_ident("a sort name").text)
+            codomain = Sort(cur.take_ident("a sort name"))
             decls.append(VopDecl(VariadicRank.make(name, elem, codomain), pos))
-        elif head.text == "var":
-            name = cur.take_ident("a variable name").text
+        elif head == "var":
+            name = cur.take_ident("a variable name")
             cur.take(":")
             decls.append(VarDecl(name, _parse_type_ann(cur), pos))
-        elif head.text == "svar":
-            name = cur.take_ident("a variable name").text
+        elif head == "svar":
+            name = cur.take_ident("a variable name")
             cur.take("*")
             cur.take(":")
             decls.append(SvarDecl(name, _parse_type_ann(cur), pos))
-        elif head.text == "rule":
+        elif head == "rule":
             try:
                 decls.append(_parse_rule(cur, pos))
             except RecursionError:
                 # Terms are parsed recursively, one call per nesting level.
-                raise ParseError("term nests too deeply to parse", cur.pos()) from None
+                raise ParseError("term nests too deeply to parse", cur.pos(cur.i)) from None
         else:
-            raise ParseError(f"unknown declaration {head.text!r}", pos)
+            raise ParseError(f"unknown declaration {head!r}", pos)
         cur.done()
+    if end < len(tokens):
+        raise ParseError(f"unexpected character {tokens[-1][0]!r}", cur.pos(len(tokens) - 1))
     return SourceFile(tuple(decls))
 
 

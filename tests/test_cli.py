@@ -8,6 +8,7 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ruletypes import cli
 
@@ -141,6 +142,58 @@ def test_text_trace_of_a_wide_list(capsys, tmp_path, command):
     path.write_text(SOURCE.format(pattern=f"L({','.join(['c()'] * 600)})", ann=ann))
     assert cli.run([command, "--trace", str(path)]) == 0
     assert "TooDeep" not in capsys.readouterr().out
+
+
+def loads_deep(text: str):
+    """``json.loads``, which recurses once per nesting level, on deep text."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        return json.loads(text)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_json_trace_of_a_wide_list(capsys, tmp_path):
+    # The derivation tree and its JSON text are both built without
+    # recursion, so a 600-level derivation gets a verdict.
+    path = tmp_path / "wide.rules"
+    path.write_text(SOURCE.format(pattern=f"L({','.join(['c()'] * 600)})", ann="Z"))
+    assert cli.run(["check", "--trace", "--format", "json", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert "TooDeep" not in text
+    report = loads_deep(text)
+    assert report["exit"] == 0
+    assert [r["outcome"] for r in report["rules"]] == ["well-typed", "well-typed"]
+    node, depth = report["rules"][0]["derivation"], 0
+    while node["premises"]:
+        node, depth = node["premises"][0], depth + 1
+    assert node["rule"] == "T-Empty" and depth > 600
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.text(st.sampled_from('ab"\\\n\t\x00\x1f\x7fα↦ ')),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(st.sampled_from('k"\\\nα'), max_size=3), inner, max_size=4),
+    max_leaves=30)
+
+
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert cli.json_text(value) == json.dumps(value, ensure_ascii=False, indent=2)
+
+
+def test_json_writer_has_no_depth_limit():
+    value: list = []
+    for _ in range(5000):
+        value = [value]
+    with pytest.raises(RecursionError):
+        json.dumps(value, ensure_ascii=False, indent=2)
+    back = loads_deep(cli.json_text(value))
+    for _ in range(5000):
+        (back,) = back
+    assert back == []
 
 
 def test_too_deep_nesting_is_a_parse_error(capsys, tmp_path):

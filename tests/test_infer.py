@@ -205,23 +205,32 @@ def _malformed_terms():
         "l(w*)": ListApp("l", (StarVar("w"),)),
         "x*": x,
         "w*": StarVar("w"),
+        "rule x << [Z] x -> (g(x))": Rule(Match(Var("x"), Var("x"), g("Z")), (SynApp("g", (Var("x"),)),)),
     }
 
 
 @pytest.mark.parametrize("text", list(_malformed_terms()))
 def test_checking_and_inference_reject_at_the_same_place(text):
-    # Both algorithms diagnose a malformed term with the same kind and path.
+    # Both algorithms diagnose a malformed term or rule with the same kind,
+    # path and detail.
     base = support.gamma_ex()
     ctx = Context(sorts=base.sorts, subsorts=base.subsort_decls,
                   ranks=[*base.syn_ranks.values(), *base.var_ranks.values(),
                          SynRank.make("s", [Sort("Z")], Sort("N"))],
-                  var_types=base.var_types, star_types=base.star_types)
-    term = _malformed_terms()[text]
-    checked = check_term(ctx, term, dsort("Z"))
+                  var_types={**base.var_types, "x": g("Z")}, star_types=base.star_types)
+    subject = _malformed_terms()[text]
+    if isinstance(subject, Rule):
+        checked = check_rule(ctx, subject)
+    else:
+        checked = check_term(ctx, subject, dsort("Z"))
     assert isinstance(checked, CheckErr)
     with pytest.raises(InferError) as exc:
-        infer_term(ctx, term, FreshSupply())
-    assert (exc.value.kind, exc.value.path) == (checked.kind, checked.path)
+        if isinstance(subject, Rule):
+            infer_rule(ctx, subject, FreshSupply())
+        else:
+            infer_term(ctx, subject, FreshSupply())
+    assert (exc.value.kind, exc.value.path, exc.value.detail) == (
+        checked.kind, checked.path, checked.detail)
 
 
 @pytest.mark.parametrize("rule, path", [

@@ -41,7 +41,39 @@ def test_truncated_rule_is_positioned():
     with pytest.raises(ParseError) as exc:
         parse("rule x << [")
     assert exc.value.pos.line == 1
-    assert exc.value.pos.col >= 11
+    assert exc.value.pos.col == 12
+
+
+@pytest.mark.parametrize("source, message, line, col", [
+    ("sort S $", "unexpected character '$'", 1, 8),
+    ("rule ( $", "unexpected character '$'", 1, 8),  # before the line's parse error
+    ("sortt A\n$", "unknown declaration 'sortt'", 1, 1),  # an earlier line's error first
+    ("sort", "unexpected end of line", 1, 5),
+    ("vop l : Z   ", "unexpected end of line, expected '*'", 1, 13),
+    ("rule x << [Z] x", "unexpected end of line, expected '->'", 1, 16),
+    ("rule x << Z", "expected '[', found 'Z'", 1, 11),
+    ("rule f(x << [Z] x -> ()", "expected ')', found '<<'", 1, 10),
+    ("sort (", "expected a sort name, found '('", 1, 6),
+    ("rule x << [Z^] x -> ()", "expected a decoration, found ']'", 1, 14),
+    ("sort S extra", "trailing input 'extra'", 1, 8),
+    ("  sortt S", "unknown declaration 'sortt'", 1, 3),
+    ("rule x* << [S] y -> ()", "star variable x* may only appear inside a list application", 1, 6),
+    ("rule x << [S] y -> (z*)", "star variable z* may only appear inside a list application", 1, 21),
+    ("rule x << [ // comment $", "unexpected end of line", 1, 25),  # the comment counts
+    ("sort\tS\t$", "unexpected character '$'", 1, 8),
+    ("var x : Int->", "trailing input '->'", 1, 12),
+    ("op f : Int-- -> Int", "unexpected character '-'", 1, 12),
+    ("sort A\r\nsort B\r\n\r\nsort $", "unexpected character '$'", 4, 6),
+    ("sort A\x0csort $", "unexpected character '$'", 2, 6),
+    ("sort A\u2028sort B $", "unexpected character '$'", 2, 8),
+    ("sort A\x1csort B\x85sort\x1fB C", "trailing input 'C'", 3, 8),  # \x1f is a blank
+])
+def test_parse_errors_are_positioned(source, message, line, col):
+    # Lines are counted as str.splitlines counts them; columns count characters.
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert (exc.value.message, exc.value.pos.line, exc.value.pos.col) == (message, line, col)
+    assert str(exc.value) == f"{line}:{col}: {message}"
 
 
 def test_unknown_declaration():
