@@ -129,15 +129,14 @@ class SourceFile:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-# One scan of the whole file.  Each match pairs the blanks and comment skipped
-# before a token with the token: a line break, an identifier, a symbol, or
-# else the rest of the file from an unexpected character on.
-_TOKEN_RE = re.compile(
-    r"""([^\S\n]*+(?://[^\n]*+)?)
-        (\n | [A-Za-z_][A-Za-z0-9_]*+(?:\+|-(?!>))? | <<|<:|->|/\\|[:()\[\],^*?] | [\s\S]+)""",
-    re.VERBOSE,
-)
 _SYMBOLS = frozenset(["<<", "<:", "->", "/\\", ":", "(", ")", "[", "]", ",", "^", "*", "?"])
+
+# One scan of the whole file.  Each match pairs the blanks and comment skipped
+# before a token with the token: a line break, an identifier, a symbol (longest
+# first), or else the rest of the file from an unexpected character on.
+_TOKEN_RE = re.compile(
+    r"([^\S\n]*(?://[^\n]*)?)(\n|[A-Za-z_][A-Za-z0-9_]*(?:\+|-(?!>))?|"
+    + "|".join(map(re.escape, sorted(_SYMBOLS, key=lambda s: (-len(s), s)))) + r"|[\s\S]+)")
 
 
 class _Cursor:
