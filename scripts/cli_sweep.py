@@ -50,6 +50,8 @@ INLINE = {
     "top-star.rules": "sort Z\nrule x* << [Z] x -> ()\n",
     "no-rank-action.rules": SIGNATURE + "rule x << [Z] x -> (g(x))\n",
     "arity.rules": SIGNATURE + "rule s(c(),c()) << [Z] t -> (t)\nrule L(c()) << [Z] t -> (t)\n",
+    "nested-300.rules": SIGNATURE + "rule " + "s(" * 300 + "c()" + ")" * 300
+                        + " << [Z] t -> (t)\n",
     "nested-700.rules": SIGNATURE + "rule " + "s(" * 700 + "c()" + ")" * 700
                         + " << [Z] t -> (t)\n",
     "nested-1000.rules": SIGNATURE + "rule " + "s(" * 1000 + "c()" + ")" * 1000

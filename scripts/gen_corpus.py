@@ -8,26 +8,23 @@ Usage: python3 scripts/gen_corpus.py [--count N] [--out DIR]
 import argparse
 import pathlib
 
-from ruletypes import checker, solver
-from ruletypes.infer import FreshSupply, infer_rule, init_context
+from ruletypes.cli import rule_report
+from ruletypes.context import RuleError
 from ruletypes.oracle import erase_annotations, gen_instance, strip_typings
 from ruletypes.surface import render_instance
 
 
 def outcomes(ctx, rule) -> tuple[str, str]:
-    chk = checker.check_rule(ctx, rule)
-    check_line = "well-typed" if isinstance(chk, checker.WellTyped) else str(chk.kind)
-
-    fresh = FreshSupply()
-    gamma = init_context(strip_typings(ctx), erase_annotations(rule), fresh)
-    res = infer_rule(gamma, erase_annotations(rule), fresh)
-    out = solver.solve(gamma, res.constraints)
-    if isinstance(out, solver.Solved):
-        solve_line = "solved"
-    elif isinstance(out, solver.Failed):
-        solve_line = f"failed({out.fail_rule})"
-    else:
-        solve_line = "stuck"
+    """The summary words of an instance: its check verdict (the rejection's
+    kind) and the result of solving its inference form."""
+    try:
+        check_line = rule_report(ctx, rule, "check")[1]["outcome"]
+    except RuleError as exc:
+        check_line = str(exc.kind)
+    _, report = rule_report(strip_typings(ctx), erase_annotations(rule), "solve")
+    solve_line = report["result"]
+    if solve_line == "failed":
+        solve_line += f"({report['fail_rule']})"
     return check_line, solve_line
 
 

@@ -19,18 +19,62 @@ from typing import Any, Iterator
 
 from . import checker, oracle, solver
 from .context import Context, ErrKind, RuleError, validate
-from .core import Cond, Constraint, ConstraintSet, Derivation, Rule, Sub, Substitution
+from .core import Cond, Constraint, ConstraintSet, Derivation, Rule, Sub, Substitution, TypeTerm
 from .infer import FreshSupply, infer_rule, init_context
-from .surface import ParseError, RuleDecl, build_context, parse, render_instance, resolve_rule
+from .surface import ParseError, build_context, parse, render_instance, resolve_rule
+
+
+# ---------------------------------------------------------------------------
+# One rule's report
+
+def rule_report(ctx: Context, rule: Rule, command: str,
+                oracle_budget: int | None = None) -> tuple[int, dict[str, Any]]:
+    """Check, infer or solve one rule; given a budget, cross-check the solver
+    by enumeration.  Returns the exit code and the report: core values under
+    the rule's JSON keys, in order.  Raises RuleError if there is no verdict."""
+    if command == "check":
+        outcome = checker.check_rule(ctx, rule)
+        if isinstance(outcome, checker.CheckErr):
+            raise RuleError(outcome.kind, outcome.path, outcome.detail)
+        return 0, {"outcome": "well-typed", "derivation": outcome.derivation}
+
+    # infer / solve share the generation step
+    fresh = FreshSupply()
+    gamma = init_context(ctx, rule, fresh)
+    result = infer_rule(gamma, rule, fresh)
+    report = dict(context=gamma, constraints=result.constraints, derivation=result.derivation)
+    if command == "infer":
+        return 0, report
+
+    outcome = solver.solve(gamma, result.constraints)
+    if isinstance(outcome, solver.Solved):
+        report.update(result="solved", substitution=outcome.subst)
+    elif isinstance(outcome, solver.Failed):
+        report.update(result="failed", fail_rule=outcome.fail_rule, witness=outcome.witness)
+    else:
+        report.update(result="stuck", residual=outcome.residual)
+    report["steps"] = outcome.trace
+    code = {"solved": 0, "failed": 1, "stuck": 4}[report["result"]]
+
+    if oracle_budget is not None:
+        try:
+            found = oracle.enumerate_solutions(
+                gamma, result.constraints, budget=oracle_budget, limit=1)
+        except oracle.BudgetExceeded as exc:
+            report["oracle"] = exc
+            return 5, report
+        report["oracle"] = "satisfiable" if found else "unsatisfiable"
+        if code != 4 and (code == 0) != bool(found):
+            code = 1  # the oracle disagrees with the solver
+    return code, report
+
+
+def _typings(gamma: Context) -> list[tuple[str, TypeTerm]]:
+    return list(gamma.var_types.items()) + [(f"{n}*", t) for n, t in gamma.star_types.items()]
 
 
 # ---------------------------------------------------------------------------
 # Text rendering
-
-def _judgment(d: Derivation) -> str:
-    subject = f"({d.subject})" if isinstance(d.subject, (Cond, Rule)) else str(d.subject)
-    return f"{subject} : {d.type}"
-
 
 def _judgment_constraints(d: Derivation) -> dict[int, ConstraintSet]:
     """The constraint set of every inference judgment in ``d``, keyed by node
@@ -52,7 +96,8 @@ def render_derivation(d: Derivation) -> str:
     stack = [(0, d)]
     while stack:
         depth, node = stack.pop()
-        body = "  " * depth + _judgment(node)
+        subject = f"({node.subject})" if isinstance(node.subject, (Cond, Rule)) else node.subject
+        body = f"{'  ' * depth}{subject} : {node.type}"
         if node.constraints is not None:
             inherited = set(chain(*(sets[id(p)] for p in node.premises)))
             new = [c for c in node.constraints if c not in inherited]
@@ -66,13 +111,51 @@ def render_derivation(d: Derivation) -> str:
 def render_trace(steps: tuple[solver.TraceStep, ...]) -> str:
     lines = []
     for step in steps:
-        consumed = ", ".join(str(c) for c in step.consumed)
-        parts = [f"({step.rule}) {consumed}"]
+        parts = [f"({step.rule}) " + ", ".join(str(c) for c in step.consumed)]
         if step.produced:
             parts.append("=> " + ", ".join(str(c) for c in step.produced))
-        for var, image in step.bound:
-            parts.append(f"bind α{var} ↦ {image}")
+        parts += (f"bind α{var} ↦ {image}" for var, image in step.bound)
         lines.append("  " + "  ".join(parts))
+    return "\n".join(lines)
+
+
+def report_text(report: dict[str, Any], index: int, trace: bool, where: str) -> str:
+    """A rule's report as text; the derivation and the solver's steps
+    only with ``trace``.  ``where`` (file and position) heads an error."""
+    head = f"rule {index}: "
+    outcome, result = report.get("outcome"), report.get("result")
+    if outcome == "error":
+        return f"{where}: {head}error {report['error']}"
+    lines = []
+    if outcome == "well-typed":
+        lines.append(head + "well-typed")
+    elif result is None:  # infer
+        typings = ", ".join(f"{n} : {t}" for n, t in _typings(report["context"]))
+        lines += [f"{head}Γ = {{{typings}}}", f"{head}C = {report['constraints']}"]
+    elif trace:
+        lines.append(f"{head}C = {report['constraints']}")
+    if trace:
+        lines.append(render_derivation(report["derivation"]))
+    if result == "solved":
+        lines.append(f"{head}solved σ = {report['substitution']}")
+    elif result == "failed":
+        witness = ", ".join(str(c) for c in report["witness"])
+        lines.append(f"{head}failed by detection rule ({report['fail_rule']}) on {witness}")
+    elif result == "stuck":
+        lines.append(f"{head}stuck with residual {report['residual']}")
+    if trace and "steps" in report:
+        lines.append(render_trace(report["steps"]))
+
+    verdict = report.get("oracle")
+    if isinstance(verdict, oracle.BudgetExceeded):
+        lines.append(f"{head}oracle: {verdict}")
+    elif verdict and result == "stuck":
+        lines.append(f"{head}oracle: set is {verdict} (outcome stuck)")
+    elif verdict:
+        found = verdict == "satisfiable"
+        lines.append(f"{head}oracle agrees" if found == (result == "solved") else
+                     f"{head}oracle DISAGREES with the solver (solver {result}, "
+                     f"enumeration found {'a' if found else 'no'} solution)")
     return "\n".join(lines)
 
 
@@ -98,8 +181,36 @@ def derivation_json(d: Derivation) -> dict[str, Any]:
     return root[0]
 
 
-def subst_json(s: Substitution) -> list[dict[str, str]]:
-    return [{"var": f"α{v}", "type": str(t)} for v, t in s.items()]
+def json_value(value: Any) -> Any:
+    """A report value as plain JSON: constraints, constraint sets, typing
+    contexts, derivations, substitutions, solver steps and errors become
+    dicts and lists of strings; strings, ints and containers of them stay."""
+    if isinstance(value, Constraint):
+        return constraint_json(value)
+    if isinstance(value, (tuple, list, ConstraintSet)):
+        return [json_value(v) for v in value]
+    if isinstance(value, Context):
+        return [{"name": n, "type": str(t)} for n, t in _typings(value)]
+    if isinstance(value, Derivation):
+        return derivation_json(value)
+    if isinstance(value, Substitution):
+        return [{"var": f"α{v}", "type": str(t)} for v, t in value.items()]
+    if isinstance(value, solver.TraceStep):
+        return {"rule": value.rule, "consumed": json_value(value.consumed),
+                "produced": json_value(value.produced),
+                "bound": [{"var": f"α{v}", "type": str(t)} for v, t in value.bound]}
+    if isinstance(value, RuleError):
+        return {"kind": str(value.kind), "path": value.path, "detail": value.detail}
+    if isinstance(value, oracle.BudgetExceeded):
+        return "budget-exceeded"
+    return value
+
+
+def report_json(report: dict[str, Any], index: int, trace: bool, where: str) -> dict[str, Any]:
+    """A rule's report as its JSON entry; the derivation and the solver's
+    steps only with ``trace``.  ``where`` is for the text form only."""
+    return {"index": index, **{key: json_value(value) for key, value in report.items()
+                               if trace or key not in ("derivation", "steps")}}
 
 
 def json_text(value: Any) -> str:
@@ -171,108 +282,6 @@ def _arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_rule(args: argparse.Namespace, ctx: Context, decl: RuleDecl,
-              index: int, entry: dict[str, Any], out: list[str]) -> int:
-    """Check, infer or solve one rule, filling its report entry for JSON or
-    its text lines; returns the rule's exit code, or raises
-    :class:`RuleError` when the rule gets no verdict.  Constraint sets,
-    substitutions and traces are rendered only in the selected format."""
-    try:
-        rule = resolve_rule(decl, ctx)
-        as_json = args.format == "json"
-
-        def trace_derivation(d: Derivation) -> None:
-            if args.trace and as_json:
-                entry["derivation"] = derivation_json(d)
-            elif args.trace:
-                out.append(render_derivation(d))
-
-        if args.command == "check":
-            outcome = checker.check_rule(ctx, rule)
-            if isinstance(outcome, checker.CheckErr):
-                raise RuleError(outcome.kind, outcome.path, outcome.detail)
-            entry["outcome"] = "well-typed"
-            out.append(f"rule {index}: well-typed")
-            trace_derivation(outcome.derivation)
-            return 0
-
-        # infer / solve share the generation step
-        fresh = FreshSupply()
-        gamma = init_context(ctx, rule, fresh)
-        result = infer_rule(gamma, rule, fresh)
-
-        typings = list(gamma.var_types.items()) + [(f"{n}*", t) for n, t in gamma.star_types.items()]
-        if as_json:
-            entry["context"] = [{"name": n, "type": str(t)} for n, t in typings]
-            entry["constraints"] = [constraint_json(c) for c in result.constraints]
-
-        if args.command == "infer":
-            if not as_json:
-                out.append(f"rule {index}: Γ = {{{', '.join(f'{n} : {t}' for n, t in typings)}}}")
-                out.append(f"rule {index}: C = {result.constraints}")
-            trace_derivation(result.derivation)
-            return 0
-
-        outcome = solver.solve(gamma, result.constraints)
-        if args.trace and not as_json:
-            out.append(f"rule {index}: C = {result.constraints}")
-        trace_derivation(result.derivation)
-        if isinstance(outcome, solver.Solved):
-            code = 0
-            if as_json:
-                entry.update(result="solved", substitution=subst_json(outcome.subst))
-            else:
-                out.append(f"rule {index}: solved σ = {outcome.subst}")
-        elif isinstance(outcome, solver.Failed):
-            code = 1
-            if as_json:
-                entry.update(result="failed", fail_rule=outcome.fail_rule,
-                             witness=[constraint_json(c) for c in outcome.witness])
-            else:
-                witness = ", ".join(str(c) for c in outcome.witness)
-                out.append(f"rule {index}: failed by detection rule ({outcome.fail_rule}) on {witness}")
-        else:
-            code = 4
-            if as_json:
-                entry.update(result="stuck", residual=[constraint_json(c) for c in outcome.residual])
-            else:
-                out.append(f"rule {index}: stuck with residual {outcome.residual}")
-        if args.trace and as_json:
-            entry["steps"] = [{"rule": s.rule,
-                               "consumed": [constraint_json(c) for c in s.consumed],
-                               "produced": [constraint_json(c) for c in s.produced],
-                               "bound": [{"var": f"α{v}", "type": str(t)} for v, t in s.bound]}
-                              for s in outcome.trace]
-        elif args.trace:
-            out.append(render_trace(outcome.trace))
-
-        if args.oracle:
-            try:
-                found = oracle.enumerate_solutions(
-                    gamma, result.constraints, budget=args.max_enum, limit=1)
-            except oracle.BudgetExceeded as exc:
-                entry["oracle"] = "budget-exceeded"
-                out.append(f"rule {index}: oracle: {exc}")
-                return 5
-            solved = isinstance(outcome, solver.Solved)
-            satisfiable = bool(found)
-            entry["oracle"] = "satisfiable" if satisfiable else "unsatisfiable"
-            if isinstance(outcome, solver.Stuck):
-                out.append(f"rule {index}: oracle: set is {entry['oracle']} (outcome stuck)")
-            elif solved != satisfiable:
-                out.append(f"rule {index}: oracle DISAGREES with the solver "
-                           f"(solver {'solved' if solved else 'failed'}, "
-                           f"enumeration found {'a' if satisfiable else 'no'} solution)")
-                code = 1
-            else:
-                out.append(f"rule {index}: oracle agrees")
-        return code
-    except RecursionError:
-        # Terms are walked recursively; a term too deep for the
-        # interpreter's stack is a per-rule error, not a crash.
-        raise RuleError(ErrKind.TOO_DEEP, "rule", "the rule nests too deeply to process") from None
-
-
 def run(argv: list[str]) -> int:
     args = _arg_parser().parse_args(argv)
     as_json = args.format == "json"
@@ -284,8 +293,9 @@ def run(argv: list[str]) -> int:
         try:
             with open(args.file, encoding="utf-8") as fh:
                 source = fh.read()
-        except OSError as exc:
-            print(f"{args.file}: {exc.strerror}", file=sys.stderr)
+        except (OSError, UnicodeDecodeError) as exc:
+            problem = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+            print(f"{args.file}: {problem}", file=sys.stderr)
             return 2
     elif args.seed is not None:
         name = f"<seed {args.seed}>"
@@ -307,54 +317,44 @@ def run(argv: list[str]) -> int:
     violations = validate(ctx)
 
     if args.command == "validate":
-        report["ok"] = not violations
-        report["violations"] = [{"kind": v.kind, "detail": v.detail} for v in violations]
-        if as_json:
-            print(json_text(report))
-        else:
-            print("\n".join(out + ([str(v) for v in violations] or ["ok"])))
+        report.update(ok=not violations,
+                      violations=[{"kind": v.kind, "detail": v.detail} for v in violations])
+        print(json_text(report) if as_json else "\n".join(out + ([str(v) for v in violations] or ["ok"])))
         return 3 if violations else 0
 
-    if violations:
-        for v in violations:
-            print(f"{name}: {v}", file=sys.stderr)
+    problems = [f"{name}: {v}" for v in violations]
+    if args.command == "check" and not problems:
+        problems = [f"{name}:{d.pos}: check mode needs a ground typing for "
+                    f"{getattr(d, 'name', '?')}" for d in sf.fresh_marked]
+        problems += [f"{name}:{d.pos}: check mode needs ground match annotations"
+                     for d in sf.rules if any(m.at is None for m in d.conds)]
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
         return 3
 
-    if args.command == "check":
-        mode_problems = [f"{name}:{d.pos}: check mode needs a ground typing for "
-                         f"{getattr(d, 'name', '?')}" for d in sf.fresh_marked]
-        for decl in sf.rules:
-            if any(m.at is None for m in decl.conds):
-                mode_problems.append(
-                    f"{name}:{decl.pos}: check mode needs ground match annotations")
-        if mode_problems:
-            for p in mode_problems:
-                print(p, file=sys.stderr)
-            return 3
-
     codes = [0]
-    rule_reports: list[dict[str, Any]] = []
-    report["rules"] = rule_reports
-
+    report["rules"] = []
+    budget = args.max_enum if getattr(args, "oracle", False) else None
+    render, rendered = (report_json, report["rules"]) if as_json else (report_text, out)
     for index, decl in enumerate(sf.rules, start=1):
-        entry: dict[str, Any] = {"index": index}
-        lines: list[str] = []
+        where = f"{name}:{decl.pos}"
+        # Terms are walked recursively; a term too deep for the interpreter's
+        # stack, to run or to render, is a per-rule error, not a crash.  So a
+        # rule's output is rendered inside the guard and kept only once whole.
         try:
-            codes.append(_run_rule(args, ctx, decl, index, entry, lines))
-        except RuleError as exc:
-            entry = {"index": index, "outcome": "error",
-                     "error": {"kind": str(exc.kind), "path": exc.path, "detail": exc.detail}}
-            lines = [f"{name}:{decl.pos}: rule {index}: error {exc}"]
-            codes.append(1)
-        rule_reports.append(entry)
-        out.extend(lines)
+            code, result = rule_report(ctx, resolve_rule(decl, ctx), args.command, budget)
+            output = render(result, index, args.trace, where)
+        except (RuleError, RecursionError) as exc:
+            error = exc if isinstance(exc, RuleError) else RuleError(
+                ErrKind.TOO_DEEP, "rule", "the rule nests too deeply to process")
+            code, output = 1, render({"outcome": "error", "error": error}, index, args.trace, where)
+        codes.append(code)
+        rendered.append(output)
 
-    if as_json:
-        report["exit"] = max(codes)
-        print(json_text(report))
-    elif out:
-        print("\n".join(out))
-    return max(codes)
+    report["exit"] = max(codes)
+    if as_json or out:
+        print(json_text(report) if as_json else "\n".join(out))
+    return report["exit"]
 
 
 def main() -> None:

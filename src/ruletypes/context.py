@@ -183,9 +183,7 @@ class Context:
             if parent not in self._parents[child]:
                 self._parents[child].append(parent)
 
-        self._chains: dict[Sort, tuple[Sort, ...]] = {}
-        for s in self._parents:
-            self._chains[s] = self._chain(s)
+        self._chains = {s: self._chain(s) for s in self._parents}
 
     # -- construction views -------------------------------------------------
 
@@ -373,23 +371,25 @@ def validate(ctx: Context) -> list[Violation]:
                 Violation("multiple-inheritance", f"sort {s} has several supersorts: {names}")
             )
 
-    # Cycle detection over declared edges (union of all parents).
-    color: dict[Sort, int] = {}
-
-    def visit(s: Sort, stack: list[Sort]) -> None:
-        color[s] = 1
-        for p in ctx._parents.get(s, []):
-            if color.get(p) == 1:
-                cycle = stack[stack.index(p):] + [p] if p in stack else [s, p]
-                names = " <: ".join(x.name for x in cycle)
-                violations.append(Violation("subsort-cycle", f"subsort cycle through {names}"))
-            elif color.get(p, 0) == 0:
-                visit(p, stack + [p])
-        color[s] = 2
-
-    for s in ctx._parents:
-        if color.get(s, 0) == 0:
-            visit(s, [s])
+    # Cycle detection over declared edges (union of all parents), depth first
+    # with an explicit stack: ``path`` holds the sorts under search, ``todo``
+    # the roots and then the parents left of each sort on the path.
+    on_path: dict[Sort, bool] = {}  # False once a sort's search is done
+    path: list[Sort] = []
+    todo = [iter(ctx._parents)]
+    while todo:
+        p = next(todo[-1], None)
+        if p is None:
+            todo.pop()
+            if path:
+                on_path[path.pop()] = False
+        elif on_path.get(p):
+            names = " <: ".join(x.name for x in path[path.index(p):] + [p])
+            violations.append(Violation("subsort-cycle", f"subsort cycle through {names}"))
+        elif p not in on_path:
+            on_path[p] = True
+            path.append(p)
+            todo.append(iter(ctx._parents.get(p, [])))
 
     ranks: list[Rank] = list(ctx.syn_ranks.values()) + list(ctx.var_ranks.values())
     for rank in ranks:

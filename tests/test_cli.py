@@ -19,6 +19,9 @@ from ruletypes import cli
     (["solve"], "example4.rules", "example4_solve.txt"),
     (["solve", "--trace", "--format", "json"], "example4.rules", "example4_solve_trace.json"),
     (["solve", "--trace"], "example4.rules", "example4_solve_trace.txt"),
+    # rule (12) produces a constraint: the `=> …` part of a trace step
+    (["solve", "--trace"], "produce.rules", "produce_solve_trace.txt"),
+    (["solve", "--trace", "--format", "json"], "produce.rules", "produce_solve_trace.json"),
 ])
 def test_output_matches_golden(capsys, fixtures_dir, argv, source, golden):
     assert cli.run(argv + [str(fixtures_dir / source)]) == 0
@@ -44,18 +47,28 @@ def test_list_rules_match_golden(capsys, monkeypatch, fixtures_dir, command, gol
     (["solve", "{fixtures}/corpus/seed_017.rules"], 1),     # failed(4)
     (["solve", "{tmp}/missing.rules"], 2),
     (["check", "{tmp}/garbage.rules"], 2),
+    (["check", "{tmp}/latin1.rules"], 2),                   # not UTF-8
     (["check", "{tmp}/cycle.rules"], 3),                    # ill-formed signature
     (["check", "{fixtures}/example4.rules"], 3),            # inference form
     (["solve", "{fixtures}/stuck.rules"], 4),
     (["solve", "--seed", "0", "--oracle", "--max-enum", "1"], 5),
-], ids=["solved", "failed", "missing-file", "parse-error", "ill-formed",
+], ids=["solved", "failed", "missing-file", "parse-error", "not-utf8", "ill-formed",
         "mode-mismatch", "stuck", "enumeration-budget"])
 def test_exit_codes(capsys, tmp_path, fixtures_dir, argv, code):
     (tmp_path / "garbage.rules").write_text("rule (\n")
+    (tmp_path / "latin1.rules").write_bytes(b"sort Z\n\xff\n")
     (tmp_path / "cycle.rules").write_text("sort A <: B\nsort B <: A\n")
     argv = [arg.format(fixtures=fixtures_dir, tmp=tmp_path) for arg in argv]
     assert cli.run(argv) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, fmt):
+    path = tmp_path / "latin1.rules"
+    path.write_bytes(b"sort Z\n\xff\n")
+    assert cli.run(["check", "--format", fmt, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"{path}: not UTF-8 text\n")
 
 
 def test_closed_pipe_exits_quietly(capsys, monkeypatch, tmp_path, example2_path):
@@ -131,6 +144,41 @@ def test_too_long_list_is_a_rule_error(capsys, tmp_path, command, next_rule):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith(next_rule.replace("rule 2:", "rule 1:"))
     assert any(line.startswith(next_rule) for line in lines[1:])
+
+
+@pytest.mark.parametrize("command, next_rule", [
+    ("check", "rule 2: well-typed"),
+    ("infer", "rule 2: Γ = {t : Z^L}"),
+])
+def test_too_deep_to_render_is_a_rule_error(capsys, tmp_path, command, next_rule):
+    # At 300 levels the rule runs, but printing its terms for --trace
+    # recurses too deeply: rule 1 gives only its error, in either format.
+    ann = "Z" if command == "check" else "?"
+    path = tmp_path / "deep.rules"
+    path.write_text(SOURCE.format(pattern=nested(300), ann=ann))
+    error_line = f"{path}:7:1: rule 1: error TooDeep at rule: the rule nests too deeply to process"
+
+    assert cli.run([command, "--trace", str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == error_line and lines[1].startswith(next_rule)
+    assert not any("rule 1:" in line for line in lines[1:])
+    assert captured.err == ""
+
+    assert cli.run([command, "--trace", "--format", "json", str(path)]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["exit"] == 1
+    assert report["rules"][0] == {
+        "index": 1, "outcome": "error",
+        "error": {"kind": "TooDeep", "path": "rule",
+                  "detail": "the rule nests too deeply to process"}}
+    assert report["rules"][1]["index"] == 2 and "error" not in report["rules"][1]
+    assert captured.err == ""
+
+    if command == "check":
+        assert cli.run([command, str(path)]) == 0
+        assert capsys.readouterr().out == "rule 1: well-typed\nrule 2: well-typed\n"
 
 
 @pytest.mark.parametrize("command", ["check", "infer"])
@@ -251,6 +299,27 @@ def test_validate_reports_ok_or_the_violations(capsys, tmp_path, example2_path):
     assert json.loads(capsys.readouterr().out) == {
         "command": "validate", "ok": False,
         "violations": [{"kind": "subsort-cycle", "detail": "subsort cycle through A <: B <: A"}]}
+
+
+def chain(length: int, closed: bool) -> str:
+    """A subsort chain S0 <: S1 <: … declared child first; ``closed`` makes
+    the last sort a subsort of the first."""
+    lines = [f"sort S{i} <: S{i + 1}" for i in range(length - 1)]
+    return "\n".join(lines + [f"sort S{length - 1}" + (" <: S0" if closed else "")]) + "\n"
+
+
+def test_long_subsort_chain_validates(capsys, tmp_path):
+    # The cycle search walks the chain in a loop, not one frame per sort.
+    path = tmp_path / "chain.rules"
+    path.write_text(chain(3000, closed=False))
+    assert cli.run(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+    path.write_text(chain(3000, closed=True))
+    assert cli.run(["validate", "--format", "json", str(path)]) == 3
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    names = " <: ".join(f"S{i}" for i in range(3000))
+    assert violations == [{"kind": "subsort-cycle", "detail": f"subsort cycle through {names} <: S0"}]
 
 
 @pytest.mark.parametrize("source, code, outcome, verdict", [
