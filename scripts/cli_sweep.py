@@ -62,7 +62,7 @@ INLINE = {
 COMMANDS = ("check", "infer", "solve", "validate")
 USAGE = ([], ["bogus"], ["check"], ["check", "--format", "xml", "example2.rules"],
          ["validate", "--trace", "example2.rules"], ["infer", "--max-enum", "1", "example2.rules"],
-         ["solve", "missing.rules"])
+         ["solve", "missing.rules"], ["solve", "--oracle", "--max-enum", "-5", "example4.rules"])
 
 
 def run(argv: list[str], cwd: pathlib.Path) -> str:

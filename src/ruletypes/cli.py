@@ -27,39 +27,42 @@ from .surface import ParseError, build_context, parse, render_instance, resolve_
 # ---------------------------------------------------------------------------
 # One rule's report
 
-def rule_report(ctx: Context, rule: Rule, command: str,
-                oracle_budget: int | None = None) -> tuple[int, dict[str, Any]]:
+def rule_report(ctx: Context, rule: Rule, command: str, oracle_budget: int | None = None,
+                trace: bool = False) -> tuple[int, dict[str, Any]]:
     """Check, infer or solve one rule; given a budget, cross-check the solver
     by enumeration.  Returns the exit code and the report: core values under
-    the rule's JSON keys, in order.  Raises RuleError if there is no verdict."""
+    the rule's JSON keys, in order; the derivation and the solver's steps
+    only with ``trace``.  Raises RuleError if there is no verdict."""
     if command == "check":
-        outcome = checker.check_rule(ctx, rule)
-        if isinstance(outcome, checker.CheckErr):
-            raise RuleError(outcome.kind, outcome.path, outcome.detail)
-        return 0, {"outcome": "well-typed", "derivation": outcome.derivation}
-
-    # infer / solve share the generation step
-    fresh = FreshSupply()
-    gamma = init_context(ctx, rule, fresh)
-    result = infer_rule(gamma, rule, fresh)
-    report = dict(context=gamma, constraints=result.constraints, derivation=result.derivation)
-    if command == "infer":
+        verdict = checker.check_rule(ctx, rule)
+        if isinstance(verdict, checker.CheckErr):
+            raise RuleError(verdict.kind, verdict.path, verdict.detail)
+        report: dict[str, Any] = {"outcome": "well-typed"}
+    else:  # infer / solve share the generation step
+        fresh = FreshSupply()
+        gamma = init_context(ctx, rule, fresh)
+        verdict = infer_rule(gamma, rule, fresh)
+        report = dict(context=gamma, constraints=verdict.constraints)
+    if trace:  # the one read of the derivation, which builds the tree
+        report["derivation"] = verdict.derivation
+    if command != "solve":
         return 0, report
 
-    outcome = solver.solve(gamma, result.constraints)
+    outcome = solver.solve(gamma, verdict.constraints)
     if isinstance(outcome, solver.Solved):
         report.update(result="solved", substitution=outcome.subst)
     elif isinstance(outcome, solver.Failed):
         report.update(result="failed", fail_rule=outcome.fail_rule, witness=outcome.witness)
     else:
         report.update(result="stuck", residual=outcome.residual)
-    report["steps"] = outcome.trace
+    if trace:
+        report["steps"] = outcome.trace
     code = {"solved": 0, "failed": 1, "stuck": 4}[report["result"]]
 
     if oracle_budget is not None:
         try:
             found = oracle.enumerate_solutions(
-                gamma, result.constraints, budget=oracle_budget, limit=1)
+                gamma, verdict.constraints, budget=oracle_budget, limit=1)
         except oracle.BudgetExceeded as exc:
             report["oracle"] = exc
             return 5, report
@@ -143,7 +146,7 @@ def report_text(report: dict[str, Any], index: int, trace: bool, where: str) -> 
         lines.append(f"{head}failed by detection rule ({report['fail_rule']}) on {witness}")
     elif result == "stuck":
         lines.append(f"{head}stuck with residual {report['residual']}")
-    if trace and "steps" in report:
+    if "steps" in report:
         lines.append(render_trace(report["steps"]))
 
     verdict = report.get("oracle")
@@ -207,10 +210,8 @@ def json_value(value: Any) -> Any:
 
 
 def report_json(report: dict[str, Any], index: int, trace: bool, where: str) -> dict[str, Any]:
-    """A rule's report as its JSON entry; the derivation and the solver's
-    steps only with ``trace``.  ``where`` is for the text form only."""
-    return {"index": index, **{key: json_value(value) for key, value in report.items()
-                               if trace or key not in ("derivation", "steps")}}
+    """A rule's report as its JSON entry; ``trace`` and ``where`` serve text."""
+    return {"index": index, **{key: json_value(value) for key, value in report.items()}}
 
 
 def json_text(value: Any) -> str:
@@ -252,6 +253,13 @@ def json_text(value: Any) -> str:
 # ---------------------------------------------------------------------------
 # Driver
 
+def nonnegative_int(text: str) -> int:
+    """An ``int`` argument that may not be negative."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
+    return int(text)
+
+
 @functools.cache
 def _arg_parser() -> argparse.ArgumentParser:
     # Built once per process; parsing leaves the parser unchanged.
@@ -277,7 +285,7 @@ def _arg_parser() -> argparse.ArgumentParser:
         if name == "solve":
             p.add_argument("--oracle", action="store_true",
                            help="cross-check the outcome against brute-force enumeration")
-            p.add_argument("--max-enum", type=int, default=1_000_000,
+            p.add_argument("--max-enum", type=nonnegative_int, default=1_000_000,
                            help="budget for brute-force enumeration with --oracle")
     return parser
 
@@ -342,7 +350,7 @@ def run(argv: list[str]) -> int:
         # stack, to run or to render, is a per-rule error, not a crash.  So a
         # rule's output is rendered inside the guard and kept only once whole.
         try:
-            code, result = rule_report(ctx, resolve_rule(decl, ctx), args.command, budget)
+            code, result = rule_report(ctx, resolve_rule(decl, ctx), args.command, budget, args.trace)
             output = render(result, index, args.trace, where)
         except (RuleError, RecursionError) as exc:
             error = exc if isinstance(exc, RuleError) else RuleError(

@@ -8,6 +8,7 @@ once and cached, so a validated context can be shared across threads.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -157,23 +158,7 @@ class Context:
             else:
                 self._var_ranks[rank.op] = rank
 
-        self._var_types: dict[str, TypeTerm] = {}
-        for name, tt in dict(var_types).items() if isinstance(var_types, Mapping) else var_types:
-            if name in self._var_types:
-                self._construction_violations.append(
-                    Violation("duplicate-typing", f"variable {name} typed more than once")
-                )
-                continue
-            self._var_types[name] = tt
-
-        self._star_types: dict[str, TypeTerm] = {}
-        for name, tt in dict(star_types).items() if isinstance(star_types, Mapping) else star_types:
-            if name in self._star_types:
-                self._construction_violations.append(
-                    Violation("duplicate-typing", f"star variable {name}* typed more than once")
-                )
-                continue
-            self._star_types[name] = tt
+        self._set_typings(var_types, star_types)
 
         # Declared direct supersorts, first-declared first; single inheritance
         # means the list should have length <= 1 (validate reports otherwise).
@@ -183,7 +168,38 @@ class Context:
             if parent not in self._parents[child]:
                 self._parents[child].append(parent)
 
-        self._chains = {s: self._chain(s) for s in self._parents}
+        # Each sort's ancestor chain along first parents, self first, built
+        # from its parent's finished chain.  A walk that meets its own path
+        # has closed a cycle, and each member's chain goes round it once, so
+        # closure queries stay total on ill-formed input.
+        self._chains: dict[Sort, tuple[Sort, ...]] = {}
+        for s in self._parents:
+            path: dict[Sort, int] = {}  # the sorts walked from s, in order
+            cur: Sort | None = s
+            while cur is not None and cur not in self._chains and cur not in path:
+                path[cur] = len(path)
+                cur = next(iter(self._parents.get(cur, ())), None)
+            walked = list(path)
+            if cur in path:
+                cycle = walked[path[cur]:]
+                self._chains.update((t, (*cycle[i:], *cycle[:i])) for i, t in enumerate(cycle))
+                del walked[path[cur]:]
+            tail = self._chains.get(cur, ())
+            for t in reversed(walked):
+                tail = self._chains[t] = (t, *tail)
+
+    def _set_typings(self, *typings: Iterable[tuple[str, TypeTerm]] | Mapping[str, TypeTerm]) -> None:
+        # var_types, then star_types; the first typing of a name wins.
+        self._var_types: dict[str, TypeTerm] = {}
+        self._star_types: dict[str, TypeTerm] = {}
+        for table, pairs, what in zip((self._var_types, self._star_types), typings,
+                                      ("variable {}", "star variable {}*")):
+            for name, tt in pairs.items() if isinstance(pairs, Mapping) else pairs:
+                if name in table:
+                    self._construction_violations.append(
+                        Violation("duplicate-typing", f"{what.format(name)} typed more than once"))
+                else:
+                    table[name] = tt
 
     # -- construction views -------------------------------------------------
 
@@ -210,23 +226,6 @@ class Context:
     @property
     def star_types(self) -> Mapping[str, TypeTerm]:
         return MappingProxyType(self._star_types)
-
-    def _chain(self, s: Sort) -> tuple[Sort, ...]:
-        # Ancestor chain, self first; guards against cycles and multiple
-        # parents so closure queries stay total on ill-formed input.
-        chain = [s]
-        seen = {s}
-        cur = s
-        while True:
-            parents = self._parents.get(cur, [])
-            if not parents:
-                break
-            cur = parents[0]
-            if cur in seen:
-                break
-            seen.add(cur)
-            chain.append(cur)
-        return tuple(chain)
 
     # -- queries ------------------------------------------------------------
 
@@ -278,15 +277,12 @@ class Context:
         var_types: Iterable[tuple[str, TypeTerm]] | Mapping[str, TypeTerm] = (),
         star_types: Iterable[tuple[str, TypeTerm]] | Mapping[str, TypeTerm] = (),
     ) -> "Context":
-        """The same sorts, subsort declarations and ranks with other variable
-        and star-variable typings."""
-        return Context(
-            sorts=self._sorts,
-            subsorts=self._subsorts,
-            ranks=list(self._syn_ranks.values()) + list(self._var_ranks.values()),
-            var_types=var_types,
-            star_types=star_types,
-        )
+        """The same sorts, subsort declarations, ranks and supersort chains
+        with other variable and star-variable typings."""
+        ctx = copy.copy(self)
+        ctx._construction_violations = []  # the ranks' were reported for self
+        ctx._set_typings(var_types, star_types)
+        return ctx
 
     def declared_typing(self, e: Term, path: str, star_ok: bool = False) -> TypeTerm:
         """The declared type term of ``e``'s head at ``path`` (see
@@ -333,20 +329,14 @@ class Context:
             raise RuleError(ErrKind.NO_RANK, path, f"variadic operator {e.op} has no declared rank")
         return rank
 
-    def list_steps(self, e: ListApp) -> Iterator[tuple[ListApp, Term, str]]:
+    def list_steps(self, e: ListApp) -> Iterator[tuple[Term, str]]:
         """The list rules' chain for ``e`` after the empty list: for each
-        argument, left to right, the prefix application it completes, the
-        argument, and its step (``STAR``, ``MERGE`` or ``ELEM``).  The
-        operator of ``e`` must have a rank."""
+        argument, left to right, the argument and its step (``STAR``,
+        ``MERGE`` or ``ELEM``); step ``i`` completes the prefix of ``i + 1``
+        arguments.  The operator of ``e`` must have a rank."""
         codomain = self._var_ranks[e.op].codomain
-        for i, arg in enumerate(e.args):
-            if isinstance(arg, StarVar):
-                step = STAR
-            elif self.sortof(arg) == codomain:
-                step = MERGE
-            else:
-                step = ELEM
-            yield ListApp(e.op, e.args[:i + 1]), arg, step
+        for arg in e.args:
+            yield arg, STAR if isinstance(arg, StarVar) else MERGE if self.sortof(arg) == codomain else ELEM
 
 
 def validate(ctx: Context) -> list[Violation]:

@@ -3,14 +3,15 @@ constraint solver: sorts, decorations, terms, type terms, constraints,
 substitutions, and derivation trees.
 
 Everything here is immutable after construction and safe to share across
-threads.  Ground types and constraints cache their hash, because the solver
-hashes them at every step.
+threads (a verdict's derivation tree is built on first read).  Ground types
+and constraints cache their hash, because the solver hashes them often.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 if TYPE_CHECKING:
     from .context import Context
@@ -451,3 +452,36 @@ class Derivation:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.premises))
+
+
+# One judgment, logged after its premises: rule, subject, type, premise count, own
+# constraints (``None`` when checking).  A list step's subject is ``(application,
+# prefix length)``, and a decorated sort stands for its ground type.
+Record = tuple[str, Union[Subject, tuple[ListApp, int]], Union[TypeTerm, DecoratedSort],
+               int, Union[Sequence[Constraint], None]]
+
+
+class Derived:
+    """A verdict that keeps its walk's post-order records and builds the
+    derivation tree from them with a stack on first read.  The tree fixes the
+    other fields, so verdicts of one class are equal when their trees are."""
+
+    def __init__(self, records: Sequence[Record]):
+        self._records = records
+
+    @cached_property
+    def derivation(self) -> Derivation:
+        stack: list[Derivation] = []
+        for rule, subject, type_, arity, own in self._records:
+            if isinstance(subject, tuple):
+                subject = ListApp(subject[0].op, subject[0].args[:subject[1]])
+            premises = [stack.pop() for _ in range(arity)][::-1]
+            stack.append(Derivation(rule, subject, GroundType(type_) if isinstance(type_, DecoratedSort)
+                                    else type_, premises, None if own is None else ConstraintSet(own)))
+        return stack.pop()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.derivation == other.derivation
+
+    def __hash__(self) -> int:
+        return hash(self.derivation)

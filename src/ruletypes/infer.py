@@ -6,23 +6,27 @@ List applications thread one spine variable through their whole chain of
 list rules: every prefix, and every star variable or same-operator list
 merged into it, concludes at the same variable as the application itself,
 so no extra equalities are emitted for the sharing.
+
+The walk builds no tree: it logs each judgment as one post-order record
+with the constraints its own rule emits (``core.Record``); the constraint
+set is those in log order, and ``InferResult.derivation`` is built on read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 
 from .context import ELEM, Context, RuleError
 from .core import (
     Cond,
     Conj,
-    Constraint,
     ConstraintSet,
-    Derivation,
+    Derived,
     Eq,
     GroundType,
     ListApp,
     Match,
+    Record,
     Rule,
     StarVar,
     Sub,
@@ -54,14 +58,14 @@ class FreshSupply:
         return v
 
 
-@dataclass(frozen=True)
-class InferResult:
+class InferResult(Derived):
     """An inferred judgment: the type (a variable for terms, ``wt`` for
     conditions and rules), its constraint set, and the derivation."""
 
-    type: TypeTerm
-    constraints: ConstraintSet
-    derivation: Derivation
+    def __init__(self, type: TypeTerm, records: list[Record]):
+        super().__init__(records)
+        self.type = type
+        self.constraints = ConstraintSet(chain.from_iterable([record[4] for record in records]))
 
 
 InferError = RuleError  # a public name: callers catch inference errors under it
@@ -110,102 +114,84 @@ def init_context(signature: Context, rule: Rule, fresh: FreshSupply) -> Context:
     return signature.with_typings(var_types, star_types)
 
 
-def _infer_term(
-    ctx: Context,
-    e: Term,
-    fresh: FreshSupply,
-    path: str,
-    out: list[Constraint],
-    pin: TypeVar | None = None,
-    star_ok: bool = False,
-) -> tuple[TypeVar, Derivation]:
-    # Appends the subtree's constraints to ``out`` in post-order; each node
-    # keeps only the constraints its own rule emits.
+def _infer_term(ctx: Context, e: Term, fresh: FreshSupply, path: str, out: list[Record],
+                pin: TypeVar | None = None, star_ok: bool = False) -> TypeVar:
     if isinstance(e, (Var, StarVar)):
         binding = ctx.declared_typing(e, path, star_ok)
         alpha = pin or fresh.fresh()
-        own = [Eq(alpha, binding)]
-        out.extend(own)
-        rule = "CT-Var" if isinstance(e, Var) else "CT-SVar"
-        return alpha, Derivation(rule, e, alpha, (), ConstraintSet(own))
+        out.append(("CT-Var" if isinstance(e, Var) else "CT-SVar", e, alpha, 0, (Eq(alpha, binding),)))
+        return alpha
 
     if isinstance(e, SynApp):
         rank = ctx.syn_rank(e, path)
         alpha = pin or fresh.fresh()
-        premises = []
         own = [Eq(alpha, GroundType(rank.codomain))]
         for i, arg in enumerate(e.args):
-            av, ad = _infer_term(ctx, arg, fresh, f"{path}.arg[{i}]", out)
-            premises.append(ad)
+            av = _infer_term(ctx, arg, fresh, f"{path}.arg[{i}]", out)
             own.append(Sub(av, GroundType(rank.domain[i])))
-        out.extend(own)
-        return alpha, Derivation("CT-Fun", e, alpha, tuple(premises), ConstraintSet(own))
+        out.append(("CT-Fun", e, alpha, len(e.args), own))
+        return alpha
 
     if isinstance(e, ListApp):
         rank = ctx.var_rank(e, path)
         alpha = pin or fresh.fresh()
-        spine = Eq(alpha, GroundType(rank.codomain))
-        out.append(spine)
-        d = Derivation("CT-Empty", ListApp(e.op), alpha, (), ConstraintSet([spine]))
-        for i, (prefix, arg, step) in enumerate(ctx.list_steps(e)):
+        spine = (Eq(alpha, GroundType(rank.codomain)),)
+        out.append(("CT-Empty", (e, 0), alpha, 0, spine))
+        for i, (arg, step) in enumerate(ctx.list_steps(e)):
             # A star or merged list concludes at the spine's own variable.
-            av, ad = _infer_term(ctx, arg, fresh, f"{path}.arg[{i}]", out,
-                                 pin=None if step == ELEM else alpha, star_ok=True)
-            own = [spine, Sub(av, GroundType(rank.elem))] if step == ELEM else [spine]
-            out.extend(own)
-            d = Derivation(f"CT-{step}", prefix, alpha, (d, ad), ConstraintSet(own))
-        return alpha, d
+            av = _infer_term(ctx, arg, fresh, f"{path}.arg[{i}]", out,
+                             pin=None if step == ELEM else alpha, star_ok=True)
+            own = (*spine, Sub(av, GroundType(rank.elem))) if step == ELEM else spine
+            out.append((f"CT-{step}", (e, i + 1), alpha, 2, own))
+        return alpha
 
     raise TypeError(f"unexpected term {e!r}")
 
 
 def infer_term(ctx: Context, e: Term, fresh: FreshSupply) -> InferResult:
     """Infer one term: a fresh conclusion variable plus its constraint set."""
-    constraints: list[Constraint] = []
-    alpha, d = _infer_term(ctx, e, fresh, "term", constraints)
-    return InferResult(alpha, ConstraintSet(constraints), d)
+    out: list[Record] = []
+    alpha = _infer_term(ctx, e, fresh, "term", out)
+    return InferResult(alpha, out)
 
 
-def _infer_cond(ctx: Context, c: Cond, fresh: FreshSupply, path: str, out: list[Constraint]) -> Derivation:
+def _infer_cond(ctx: Context, c: Cond, fresh: FreshSupply, path: str, out: list[Record]) -> Cond:
+    # Returns the condition with every match annotation filled in.
     if isinstance(c, Match):
         annotation: TypeTerm = c.at if c.at is not None else fresh.fresh()
-        pat_var, pat_d = _infer_term(ctx, c.pattern, fresh, f"{path}.pattern", out)
-        sub_var, sub_d = _infer_term(ctx, c.subject, fresh, f"{path}.subject", out)
-        own = [Sub(pat_var, annotation), Eq(sub_var, annotation)]
-        out.extend(own)
+        pat_var = _infer_term(ctx, c.pattern, fresh, f"{path}.pattern", out)
+        sub_var = _infer_term(ctx, c.subject, fresh, f"{path}.subject", out)
         subject = Match(c.pattern, c.subject, annotation)
-        return Derivation("CT-Match", subject, WT, (pat_d, sub_d), ConstraintSet(own))
+        out.append(("CT-Match", subject, WT, 2, (Sub(pat_var, annotation), Eq(sub_var, annotation))))
+        return subject
 
     if isinstance(c, Conj):
-        premises = tuple(_infer_cond(ctx, member, fresh, f"{path}[{i}]", out)
-                         for i, member in enumerate(c.conds))
-        subject = Conj(tuple(md.subject for md in premises))
-        return Derivation("CT-Conj", subject, WT, premises, ConstraintSet())
+        subject = Conj(tuple(_infer_cond(ctx, member, fresh, f"{path}[{i}]", out)
+                             for i, member in enumerate(c.conds)))
+        out.append(("CT-Conj", subject, WT, len(c.conds), ()))
+        return subject
 
     raise TypeError(f"unexpected condition {c!r}")
 
 
 def infer_cond(ctx: Context, c: Cond, fresh: FreshSupply) -> InferResult:
     """Infer a condition; a missing match annotation gets a fresh variable."""
-    constraints: list[Constraint] = []
-    d = _infer_cond(ctx, c, fresh, "cond", constraints)
-    return InferResult(WT, ConstraintSet(constraints), d)
+    out: list[Record] = []
+    _infer_cond(ctx, c, fresh, "cond", out)
+    return InferResult(WT, out)
 
 
 def infer_rule(ctx: Context, r: Rule, fresh: FreshSupply) -> InferResult:
     """Infer a whole rule: the condition's constraints, each action term's
     constraints, and one reflexive equality recording the declared typing of
     every variable-headed action term."""
-    constraints: list[Constraint] = []
-    premises = [_infer_cond(ctx, r.cond, fresh, "cond", constraints)]
+    out: list[Record] = []
+    cond = _infer_cond(ctx, r.cond, fresh, "cond", out)
     action_typings: list[TypeTerm] = []
     for i, action in enumerate(r.actions):
         path = f"action[{i}]"
         action_typings.append(ctx.declared_typing(action, path))
-        _, ad = _infer_term(ctx, action, fresh, path, constraints)
-        premises.append(ad)
+        _infer_term(ctx, action, fresh, path, out)
     own = [Eq(typing, typing) for typing in action_typings if isinstance(typing, TypeVar)]
-    constraints.extend(own)
-    subject = Rule(premises[0].subject, r.actions)
-    return InferResult(WT, ConstraintSet(constraints),
-                       Derivation("CT-Rule", subject, WT, tuple(premises), ConstraintSet(own)))
+    out.append(("CT-Rule", Rule(cond, r.actions), WT, 1 + len(r.actions), own))
+    return InferResult(WT, out)

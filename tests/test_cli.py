@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ruletypes import cli
+from ruletypes.core import RULE_LABELS, Derivation
 
 
 @pytest.mark.parametrize("argv, source, golden", [
@@ -52,14 +53,19 @@ def test_list_rules_match_golden(capsys, monkeypatch, fixtures_dir, command, gol
     (["check", "{fixtures}/example4.rules"], 3),            # inference form
     (["solve", "{fixtures}/stuck.rules"], 4),
     (["solve", "--seed", "0", "--oracle", "--max-enum", "1"], 5),
+    (["solve", "--seed", "0", "--oracle", "--max-enum", "-5"], 2),
 ], ids=["solved", "failed", "missing-file", "parse-error", "not-utf8", "ill-formed",
-        "mode-mismatch", "stuck", "enumeration-budget"])
+        "mode-mismatch", "stuck", "enumeration-budget", "negative-budget"])
 def test_exit_codes(capsys, tmp_path, fixtures_dir, argv, code):
     (tmp_path / "garbage.rules").write_text("rule (\n")
     (tmp_path / "latin1.rules").write_bytes(b"sort Z\n\xff\n")
     (tmp_path / "cycle.rules").write_text("sort A <: B\nsort B <: A\n")
     argv = [arg.format(fixtures=fixtures_dir, tmp=tmp_path) for arg in argv]
-    assert cli.run(argv) == code
+    try:
+        got = cli.run(argv)
+    except SystemExit as exc:  # a usage error exits from argparse
+        got = exc.code
+    assert got == code
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -190,6 +196,43 @@ def test_text_trace_of_a_wide_list(capsys, tmp_path, command):
     path.write_text(SOURCE.format(pattern=f"L({','.join(['c()'] * 600)})", ann=ann))
     assert cli.run([command, "--trace", str(path)]) == 0
     assert "TooDeep" not in capsys.readouterr().out
+
+
+def printed_nodes(output: str, fmt: str) -> int:
+    """The number of judgments in the derivation trees of a report."""
+    if fmt == "text":
+        labels = tuple(f"  [{label}]" for label in RULE_LABELS)
+        return sum(line.endswith(labels) for line in output.splitlines())
+    stack = [rule["derivation"] for rule in json.loads(output)["rules"]]
+    count = 0
+    while stack:
+        count += 1
+        stack.extend(stack.pop()["premises"])
+    return count
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["check", "infer", "solve"])
+def test_derivation_is_built_only_to_be_printed(capsys, monkeypatch, tmp_path, command, fmt):
+    built = []
+    post_init = Derivation.__post_init__
+
+    def counted(d):
+        built.append(d)
+        post_init(d)
+
+    monkeypatch.setattr(Derivation, "__post_init__", counted)
+    path = tmp_path / "wide.rules"
+    ann = "Z" if command == "check" else "?"
+    path.write_text(SOURCE.format(pattern=f"L({','.join(['s(c())'] * 40)})", ann=ann))
+
+    assert cli.run([command, "--format", fmt, str(path)]) == 0
+    capsys.readouterr()
+    assert built == []
+
+    assert cli.run([command, "--trace", "--format", fmt, str(path)]) == 0
+    printed = printed_nodes(capsys.readouterr().out, fmt)
+    assert printed > 120 and len(built) == printed
 
 
 def loads_deep(text: str):

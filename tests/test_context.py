@@ -59,6 +59,35 @@ def test_subtype_agrees_with_edge_walking_oracle(gamma_ex):
 
 
 # ---------------------------------------------------------------------------
+# supersort_chain
+
+def walk_first_parents(subsorts, s):
+    """A sort's chain by walking from it along first-declared parents until
+    a sort repeats."""
+    first = {}
+    for child, parent in subsorts:
+        first.setdefault(child, parent)
+    chain = [s]
+    while s in first and first[s] not in chain:
+        s = first[s]
+        chain.append(s)
+    return tuple(chain)
+
+
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=14))
+def test_supersort_chain_is_the_walk_along_first_parents(edges):
+    # Edges may form cycles and self-loops, give a sort several parents, or
+    # name a sort that is not declared (6 and 7).
+    sorts = [Sort(f"S{i}") for i in range(8)]
+    subsorts = [(sorts[a], sorts[b]) for a, b in edges]
+    ctx = Context(sorts=sorts[:6], subsorts=subsorts)
+    for s in sorts:
+        assert ctx.supersort_chain(s) == walk_first_parents(subsorts, s)
+    typed = ctx.with_typings({"x": g("S0")})  # reuses the chains it was given
+    assert all(typed.supersort_chain(s) is ctx.supersort_chain(s) for s in ctx.sorts)
+
+
+# ---------------------------------------------------------------------------
 # common_supersort
 
 def test_common_supersort_of_constant_and_list(gamma_ex):
