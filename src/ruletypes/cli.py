@@ -166,6 +166,8 @@ def report_text(report: dict[str, Any], index: int, trace: bool, where: str) -> 
 # JSON rendering
 
 def constraint_json(c: Constraint) -> dict[str, str]:
+    """The JSON object ``json_text`` writes for a constraint, which reports
+    pass as it is; for callers that compare parsed output with constraints."""
     return {"kind": "sub" if isinstance(c, Sub) else "eq",
             "lhs": str(c.lhs), "rhs": str(c.rhs)}
 
@@ -178,19 +180,19 @@ def derivation_json(d: Derivation) -> dict[str, Any]:
         node, siblings = stack.pop()
         conclusion: dict[str, Any] = {"subject": str(node.subject), "type": str(node.type)}
         if node.constraints is not None:
-            conclusion["constraints"] = [constraint_json(c) for c in sets[id(node)]]
+            conclusion["constraints"] = list(sets[id(node)])
         siblings.append({"rule": node.rule, "conclusion": conclusion, "premises": []})
         stack.extend((p, siblings[-1]["premises"]) for p in reversed(node.premises))
     return root[0]
 
 
 def json_value(value: Any) -> Any:
-    """A report value as plain JSON: constraints, constraint sets, typing
+    """A report value as ``json_text`` takes it: constraint sets, typing
     contexts, derivations, substitutions, solver steps and errors become
-    dicts and lists of strings; strings, ints and containers of them stay."""
-    if isinstance(value, Constraint):
-        return constraint_json(value)
-    if isinstance(value, (tuple, list, ConstraintSet)):
+    dicts and lists; constraints, strings, ints and containers of them stay."""
+    if isinstance(value, ConstraintSet):
+        return list(value)
+    if isinstance(value, (tuple, list)):
         return [json_value(v) for v in value]
     if isinstance(value, Context):
         return [{"name": n, "type": str(t)} for n, t in _typings(value)]
@@ -199,8 +201,7 @@ def json_value(value: Any) -> Any:
     if isinstance(value, Substitution):
         return [{"var": f"α{v}", "type": str(t)} for v, t in value.items()]
     if isinstance(value, solver.TraceStep):
-        return {"rule": value.rule, "consumed": json_value(value.consumed),
-                "produced": json_value(value.produced),
+        return {"rule": value.rule, "consumed": list(value.consumed), "produced": list(value.produced),
                 "bound": [{"var": f"α{v}", "type": str(t)} for v, t in value.bound]}
     if isinstance(value, RuleError):
         return {"kind": str(value.kind), "path": value.path, "detail": value.detail}
@@ -214,10 +215,14 @@ def report_json(report: dict[str, Any], index: int, trace: bool, where: str) -> 
     return {"index": index, **{key: json_value(value) for key, value in report.items()}}
 
 
+_CONSTRAINT_JSON = '{{{3}  "kind": "{0}",{3}  "lhs": {1},{3}  "rhs": {2}{3}}}'
+
+
 def json_text(value: Any) -> str:
     """``json.dumps(value, ensure_ascii=False, indent=2)`` for a report (dicts
-    with string keys, lists, strings, ints, booleans, None), written in one
-    pass with an explicit stack, so that any nesting depth renders."""
+    with string keys, lists, strings, ints, booleans, None, and constraints,
+    which print as ``constraint_json`` would), written in one pass with an
+    explicit stack, so that any nesting depth renders."""
     out: list[str] = []
     # The open container's (key, item) pairs left, kind and indent; the stack holds its parents'.
     pairs: Iterator[tuple[Any, Any]] = iter([(None, value)])
@@ -229,6 +234,10 @@ def json_text(value: Any) -> str:
             sep = "," + pad
             if isinstance(value, str):
                 out.append(encode_basestring(value))
+            elif isinstance(value, Constraint):
+                out.append(_CONSTRAINT_JSON.format("sub" if isinstance(value, Sub) else "eq",
+                                                   encode_basestring(str(value.lhs)),
+                                                   encode_basestring(str(value.rhs)), pad))
             elif isinstance(value, (dict, list)):
                 stack.append((pairs, is_dict, pad))
                 is_dict = isinstance(value, dict)

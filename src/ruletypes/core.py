@@ -3,8 +3,10 @@ constraint solver: sorts, decorations, terms, type terms, constraints,
 substitutions, and derivation trees.
 
 Everything here is immutable after construction and safe to share across
-threads (a verdict's derivation tree is built on first read).  Ground types
-and constraints cache their hash, because the solver hashes them often.
+threads (a verdict's derivation tree is built on first read).  Sorts,
+decorations, decorated sorts, type variables and ground types are hash-consed
+(:class:`Interned`), in per-class tables bounded by the names declared and the
+largest type-variable id.  Constraints hash once, when made.
 """
 
 from __future__ import annotations
@@ -17,45 +19,94 @@ if TYPE_CHECKING:
     from .context import Context
 
 
+class Interned:
+    """Base of the hash-consed values, whose fields ``__slots__`` names:
+    ``Cls(*fields)`` returns the one object with those fields, so ``==`` is
+    ``object``'s identity test, and the hash and ``str`` (``_text``) are
+    computed once.  The table insert is a ``dict.setdefault``, so threads
+    racing to make one value all get the object that went in first."""
+
+    __slots__ = ("_hash", "_str")
+
+    def __init_subclass__(cls) -> None:
+        cls._table = {}
+
+    def __new__(cls, *fields):
+        obj = cls._table.get(fields)
+        if obj is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields, got {len(fields)}")
+            obj = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(obj, name, value)
+            object.__setattr__(obj, "_hash", hash(fields))
+            object.__setattr__(obj, "_str", obj._text())
+            obj = cls._table.setdefault(fields, obj)
+        return obj
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __str__(self) -> str:
+        return self._str
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __reduce__(self):  # a copy or unpickled value is the interned object
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
 # ---------------------------------------------------------------------------
 # Sorts and decorations
 
-@dataclass(frozen=True)
-class Sort:
+class Sort(Interned):
     """A base sort, compared by name."""
 
+    __slots__ = ("name",)
     name: str
 
-    def __str__(self) -> str:
+    def _text(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Decoration:
+class Decoration(Interned):
     """Head-operator decoration on a sort; ``symbol=None`` is the don't-care
     decoration, printed ``?``."""
 
-    symbol: str | None = None
+    __slots__ = ("symbol",)
+    symbol: str | None
+
+    def __new__(cls, symbol: str | None = None) -> Decoration:
+        return super().__new__(cls, symbol)
 
     @property
     def is_any(self) -> bool:
         return self.symbol is None
 
-    def __str__(self) -> str:
+    def _text(self) -> str:
         return self.symbol if self.symbol is not None else "?"
 
 
 ANY = Decoration()
 
 
-@dataclass(frozen=True)
-class DecoratedSort:
+class DecoratedSort(Interned):
     """A sort paired with a decoration, e.g. ``Z^l`` or ``N^?``."""
 
+    __slots__ = ("sort", "deco")
     sort: Sort
-    deco: Decoration = ANY
+    deco: Decoration
 
-    def __str__(self) -> str:
+    def __new__(cls, sort: Sort, deco: Decoration = ANY) -> DecoratedSort:
+        return super().__new__(cls, sort, deco)
+
+    def _text(self) -> str:
         return f"{self.sort}^{self.deco}"
 
 
@@ -74,29 +125,23 @@ class TypeTerm:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TypeVar(TypeTerm):
+class TypeVar(Interned, TypeTerm):
     """A type variable, printed ``α<n>``."""
 
+    __slots__ = ("id",)
     id: int
 
-    def __str__(self) -> str:
+    def _text(self) -> str:
         return f"α{self.id}"
 
 
-@dataclass(frozen=True)
-class GroundType(TypeTerm):
+class GroundType(Interned, TypeTerm):
     """A ground type term: a decorated sort."""
 
+    __slots__ = ("dsort",)
     dsort: DecoratedSort
-    _hash = None  # not a field: cached on first use, as most are never hashed
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.dsort,)))
-        return self._hash
-
-    def __str__(self) -> str:
+    def _text(self) -> str:
         return str(self.dsort)
 
 
@@ -227,54 +272,50 @@ class Rule:
 # Constraints
 
 class Constraint:
-    """Base class for constraints; both variants have ``lhs`` and ``rhs``."""
+    """Base class for constraints: immutable, equal when of one class with the
+    same (interned) sides, and never holding ``wt``."""
 
-    __slots__ = ()
+    __slots__ = ("lhs", "rhs", "_hash")
     lhs: TypeTerm
     rhs: TypeTerm
 
+    def __init__(self, lhs: TypeTerm, rhs: TypeTerm):
+        if isinstance(lhs, WtType) or isinstance(rhs, WtType):
+            raise ValueError("wt cannot appear inside a constraint")
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_hash(self, hash((lhs, rhs)))
 
-def _reject_wt(t: TypeTerm) -> None:
-    if isinstance(t, WtType):
-        raise ValueError("wt cannot appear inside a constraint")
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.lhs is self.lhs and other.rhs is self.rhs
+
+    __hash__ = Interned.__hash__
+    __setattr__ = __delattr__ = Interned.__setattr__
+
+    def __str__(self) -> str:
+        return f"{self.lhs} {self._op} {self.rhs}"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(lhs={self.lhs!r}, rhs={self.rhs!r})"
 
 
-@dataclass(frozen=True)
+# The slots' own setters, which cost half of ``object.__setattr__``: inference
+# and the solver make constraints in their inner loops.
+_set_lhs, _set_rhs, _set_hash = Constraint.lhs.__set__, Constraint.rhs.__set__, Constraint._hash.__set__
+
+
 class Eq(Constraint):
     """Equality constraint ``lhs =_s rhs``."""
 
-    lhs: TypeTerm
-    rhs: TypeTerm
-
-    def __post_init__(self) -> None:
-        _reject_wt(self.lhs)
-        _reject_wt(self.rhs)
-        object.__setattr__(self, "_hash", hash((self.lhs, self.rhs)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        return f"{self.lhs} =_s {self.rhs}"
+    __slots__ = ()
+    _op = "=_s"
 
 
-@dataclass(frozen=True)
 class Sub(Constraint):
     """Subtype constraint ``lhs <:_s rhs``."""
 
-    lhs: TypeTerm
-    rhs: TypeTerm
-
-    def __post_init__(self) -> None:
-        _reject_wt(self.lhs)
-        _reject_wt(self.rhs)
-        object.__setattr__(self, "_hash", hash((self.lhs, self.rhs)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        return f"{self.lhs} <:_s {self.rhs}"
+    __slots__ = ()
+    _op = "<:_s"
 
 
 class ConstraintSet:

@@ -135,13 +135,13 @@ def _infer_term(ctx: Context, e: Term, fresh: FreshSupply, path: str, out: list[
     if isinstance(e, ListApp):
         rank = ctx.var_rank(e, path)
         alpha = pin or fresh.fresh()
-        spine = (Eq(alpha, GroundType(rank.codomain)),)
-        out.append(("CT-Empty", (e, 0), alpha, 0, spine))
+        out.append(("CT-Empty", (e, 0), alpha, 0, (Eq(alpha, GroundType(rank.codomain)),)))
         for i, (arg, step) in enumerate(ctx.list_steps(e)):
-            # A star or merged list concludes at the spine's own variable.
+            # A star or merged list concludes at the spine's own variable, and
+            # every step inherits the spine's equality from the empty list.
             av = _infer_term(ctx, arg, fresh, f"{path}.arg[{i}]", out,
                              pin=None if step == ELEM else alpha, star_ok=True)
-            own = (*spine, Sub(av, GroundType(rank.elem))) if step == ELEM else spine
+            own = (Sub(av, GroundType(rank.elem)),) if step == ELEM else ()
             out.append((f"CT-{step}", (e, i + 1), alpha, 2, own))
         return alpha
 

@@ -170,3 +170,34 @@ def find_renaming(
         return None
 
     return backtrack(0, {}, set())
+
+
+# ---------------------------------------------------------------------------
+# Wide list patterns: one variadic L(...) with star variables, variables,
+# constants, applications and nested L and M lists
+
+LIST_SIGNATURE = """\
+sort Z
+sort N <: Z
+sort E
+op c : -> N
+op s : Z -> N
+op f : Z Z -> Z
+op g : N -> Z
+vop L : Z* -> E
+vop M : N* -> Z
+"""
+
+ELEMENTS = (
+    "w{k}*", "L(x{k},c())", "x{k}", "c()", "s(x{k})", "f(x{k},s(c()))",
+    "g(s(y{k}))", "M(c(),m{k}*)", "s(f(g(s(x{k})),M(s(x{k}),y{k})))", "w{j}*",
+)
+
+
+def wide_rule(width: int, element: str | None = None, at: int | None = None) -> str:
+    """A ``width``-element list rule; ``element`` replaces the one at ``at``
+    (default: the middle one)."""
+    elems = [ELEMENTS[i % len(ELEMENTS)].format(k=i % 5, j=(i + 2) % 3) for i in range(width)]
+    if element is not None:
+        elems[width // 2 if at is None else at] = element
+    return LIST_SIGNATURE + f"rule L({','.join(elems)}) << [?] t -> (t)\n"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ruletypes import cli
-from ruletypes.core import RULE_LABELS, Derivation
+from ruletypes.core import RULE_LABELS, Constraint, Derivation, Eq, GroundType, Sub, TypeVar, dsort
 
 
 @pytest.mark.parametrize("argv, source, golden", [
@@ -273,6 +273,33 @@ json_values = st.recursive(
 @given(json_values)
 def test_json_writer_matches_json_dumps(value):
     assert cli.json_text(value) == json.dumps(value, ensure_ascii=False, indent=2)
+
+
+type_terms = st.integers(1, 12).map(TypeVar) | st.builds(
+    lambda name, deco: GroundType(dsort(name, deco)),
+    st.text(st.sampled_from('Zb"\\\nα'), min_size=1, max_size=3), st.none() | st.sampled_from(["l", "\""]))
+constraints = st.builds(Eq, type_terms, type_terms) | st.builds(Sub, type_terms, type_terms)
+reports = st.recursive(
+    constraints | st.none() | st.integers() | st.text(st.sampled_from('ab"α')),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["constraints", "witness", "rules", "k\"α"]), inner, max_size=4),
+    max_leaves=30)
+
+
+def plain(value):
+    """``value`` with every constraint replaced by its JSON dict."""
+    if isinstance(value, Constraint):
+        return cli.constraint_json(value)
+    if isinstance(value, list):
+        return [plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    return value
+
+
+@given(reports)
+def test_json_writer_prints_constraints_as_their_dicts(value):
+    assert cli.json_text(value) == json.dumps(plain(value), ensure_ascii=False, indent=2)
 
 
 def test_json_writer_has_no_depth_limit():

@@ -1,3 +1,8 @@
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +20,7 @@ from ruletypes import (
     free_type_vars,
     subst_satisfies,
 )
-from ruletypes.core import Conj, GroundType, Match, TypeVar, Var
+from ruletypes.core import Conj, DecoratedSort, Decoration, GroundType, Match, Sort, TypeVar, Var
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +140,70 @@ def test_conjunction_needs_two_conditions():
     for conds in ([], [m]):
         with pytest.raises(ValueError):
             Conj(conds)
+
+
+# ---------------------------------------------------------------------------
+# Value semantics: interned type terms, constraints compared by their sides
+
+def test_equal_type_terms_are_one_object():
+    assert TypeVar(3) is TypeVar(3)
+    assert dsort("Z", "l") is DecoratedSort(Sort("Z"), Decoration("l"))
+    assert dsort("Z") is DecoratedSort(Sort("Z")) is DecoratedSort(Sort("Z"), Decoration(None))
+    assert g("Z", "l") is GroundType(dsort("Z", "l")) and g("Z") is not g("Z", "l")
+    assert copy.deepcopy(g("Z", "l")) is pickle.loads(pickle.dumps(g("Z", "l"))) is g("Z", "l")
+
+
+def test_equal_constraints_compare_and_hash_alike():
+    s1, s2 = Sub(a(1), g("Z", "l")), Sub(TypeVar(1), GroundType(dsort("Z", "l")))
+    assert s1 is not s2 and s1 == s2 and hash(s1) == hash(s2)
+    assert Eq(a(1), a(2)) != Sub(a(1), a(2))
+    assert Sub(a(1), a(2)) != Sub(a(2), a(1))
+    assert len({s1, s2, Eq(a(1), g("Z", "l"))}) == 2
+
+
+@pytest.mark.parametrize("value, name", [
+    (Sort("Z"), "name"), (Decoration("l"), "symbol"), (dsort("Z"), "deco"), (a(1), "id"),
+    (g("Z"), "dsort"), (Eq(a(1), a(2)), "lhs"), (Sub(a(1), g("Z")), "rhs"),
+])
+def test_values_are_immutable(value, name):
+    with pytest.raises(AttributeError):
+        setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+
+
+def test_repr_names_the_class_and_fields():
+    assert repr(a(3)) == "TypeVar(id=3)"
+    assert repr(g("Z", "l")) == ("GroundType(dsort=DecoratedSort(sort=Sort(name='Z'), "
+                                 "deco=Decoration(symbol='l')))")
+    assert repr(Sub(a(1), a(2))) == "Sub(lhs=TypeVar(id=1), rhs=TypeVar(id=2))"
+
+
+def test_interning_is_thread_safe():
+    # Four threads build the same values, new to every table, at the same
+    # time; a lost race would leave two objects for one value.
+    ids = range(10**9, 10**9 + 2000)
+    barrier = threading.Barrier(4)
+    built: list[list] = []
+
+    def build():
+        barrier.wait(timeout=30)
+        built.append([(TypeVar(i), GroundType(dsort(f"Race{i}", "l"))) for i in ids])
+
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside constructors too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(built) == 4
+    for pairs in built[1:]:
+        assert all(x is y and u is v for (x, u), (y, v) in zip(pairs, built[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import pathlib
+from collections import Counter
+
 import pytest
 
 import support
@@ -30,6 +33,7 @@ from ruletypes import (
 )
 from ruletypes.core import ConstraintSet, GroundType, TypeVar, free_type_vars
 from ruletypes.oracle import gen_instance
+from ruletypes.surface import build_context, parse, resolve_rule
 
 
 def inference_context():
@@ -281,3 +285,40 @@ def test_inference_is_deterministic():
     r1 = infer_rule(gamma, rule, FreshSupply(start=4))
     r2 = infer_rule(gamma, rule, FreshSupply(start=4))
     assert r1 == r2
+
+
+def _inferred_rules(source):
+    sf = parse(source)
+    ctx = build_context(sf)
+    for decl in sf.rules:
+        rule = resolve_rule(decl, ctx)
+        fresh = FreshSupply()
+        yield infer_rule(init_context(ctx, rule, fresh), rule, fresh)
+
+
+LISTS = (pathlib.Path(__file__).parent / "fixtures" / "lists.rules").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("source, emitted", [
+    (LISTS, [5, 22, 13]),
+    (support.wide_rule(40), [214]),
+    (support.wide_rule(80), [422]),
+    (support.wide_rule(160), [838]),
+], ids=["lists.rules", "wide-40", "wide-80", "wide-160"])
+def test_list_steps_emit_only_their_element_bound(source, emitted):
+    # Counter gate.  A list's spine equality is its empty list's own
+    # constraint, so a step emits only an element's subtype bound and
+    # repeats nothing.  What repeats is outside the list steps: a match
+    # repeats its subject variable's equality when that variable's typing is
+    # the annotation, and a repeated star variable or a merged list repeats
+    # its own equality with the spine.
+    results = list(_inferred_rules(source))
+    assert [sum(len(node.constraints) for node in result.derivation.walk())
+            for result in results] == emitted
+    for result in results:
+        nodes = list(result.derivation.walk())
+        own = Counter(c for node in nodes for c in node.constraints)
+        steps = [node for node in nodes if node.rule in ("CT-Elem", "CT-Merge", "CT-Star")]
+        assert [len(node.constraints) for node in steps] == [int(node.rule == "CT-Elem") for node in steps]
+        assert all(own[c] == 1 for node in steps for c in node.constraints)
+        assert set(result.constraints) == set(own)

@@ -11,6 +11,7 @@ import pathlib
 import pytest
 
 import reference_solver as reference
+from support import wide_rule
 from ruletypes.infer import FreshSupply, infer_rule, init_context
 from ruletypes.oracle import erase_annotations, gen_constraints, strip_typings
 from ruletypes.solver import Failed, Solved, Stuck, detect_failure, solve
@@ -78,33 +79,6 @@ def test_example4():
 # ---------------------------------------------------------------------------
 # wide list patterns: one variadic L(...) with star variables, variables,
 # constants, applications and nested L and M lists
-
-LIST_SIGNATURE = """\
-sort Z
-sort N <: Z
-sort E
-op c : -> N
-op s : Z -> N
-op f : Z Z -> Z
-op g : N -> Z
-vop L : Z* -> E
-vop M : N* -> Z
-"""
-
-ELEMENTS = (
-    "w{k}*", "L(x{k},c())", "x{k}", "c()", "s(x{k})", "f(x{k},s(c()))",
-    "g(s(y{k}))", "M(c(),m{k}*)", "s(f(g(s(x{k})),M(s(x{k}),y{k})))", "w{j}*",
-)
-
-
-def wide_rule(width: int, element: str | None = None, at: int | None = None) -> str:
-    """A ``width``-element list rule; ``element`` replaces the one at ``at``
-    (default: the middle one)."""
-    elems = [ELEMENTS[i % len(ELEMENTS)].format(k=i % 5, j=(i + 2) % 3) for i in range(width)]
-    if element is not None:
-        elems[width // 2 if at is None else at] = element
-    return LIST_SIGNATURE + f"rule L({','.join(elems)}) << [?] t -> (t)\n"
-
 
 @pytest.mark.parametrize("width", [16, 36, 80])
 def test_wide_lists_solve(width):
