@@ -10,10 +10,10 @@ run, so a diff of two sweeps shows exactly which runs a change touched:
 
 The runs are every fixture and corpus file under ``tests/fixtures`` ×
 command × text/JSON × with and without ``--trace``; ``--seed`` inputs;
-``solve --oracle``; usage errors; and the inline sources below (parse
-errors, rule errors, deep nesting and a wide list).  Runs are in-process,
-one after another, with the working directory at the input's directory so
-that file names print the same in any checkout.
+``solve --oracle``, also with too small a budget; usage errors; and the
+inline sources below (parse errors, rule errors, deep nesting and a wide
+list).  Runs are in-process, one after another, with the working directory
+at the input's directory so that file names print the same in any checkout.
 """
 
 from __future__ import annotations
@@ -106,6 +106,8 @@ def main() -> None:
                 print(run(argv, FIXTURES))
         for name in ("example4.rules", "corpus/seed_017.rules", "stuck.rules"):
             print(run(["solve", "--oracle", name], FIXTURES))
+        for fmt in ("text", "json"):  # the enumeration budget runs out
+            print(run(["solve", "--oracle", "--max-enum", "1", "example4.rules", "--format", fmt], FIXTURES))
         for argv in USAGE:
             print(run(argv, FIXTURES))
 

@@ -13,7 +13,6 @@ The walk builds no tree: it logs each judgment as one post-order record
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from .context import ELEM, STAR, Context, ErrKind, RuleError
@@ -30,6 +29,7 @@ from .core import (
     StarVar,
     SynApp,
     Term,
+    Value,
     Var,
     WT,
 )
@@ -40,8 +40,7 @@ class WellTyped(Derived):
     derivation."""
 
 
-@dataclass(frozen=True)
-class CheckErr:
+class CheckErr(Value):
     kind: ErrKind
     path: str
     detail: str

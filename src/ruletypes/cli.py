@@ -17,7 +17,7 @@ from itertools import chain
 from json.encoder import encode_basestring
 from typing import Any, Iterator
 
-from . import checker, oracle, solver
+from . import checker, solver
 from .context import Context, ErrKind, RuleError, validate
 from .core import Cond, Constraint, ConstraintSet, Derivation, Rule, Sub, Substitution, TypeTerm
 from .infer import FreshSupply, infer_rule, init_context
@@ -60,6 +60,7 @@ def rule_report(ctx: Context, rule: Rule, command: str, oracle_budget: int | Non
     code = {"solved": 0, "failed": 1, "stuck": 4}[report["result"]]
 
     if oracle_budget is not None:
+        from . import oracle  # only here and for --seed: a plain run does without it
         try:
             found = oracle.enumerate_solutions(
                 gamma, verdict.constraints, budget=oracle_budget, limit=1)
@@ -150,7 +151,7 @@ def report_text(report: dict[str, Any], index: int, trace: bool, where: str) -> 
         lines.append(render_trace(report["steps"]))
 
     verdict = report.get("oracle")
-    if isinstance(verdict, oracle.BudgetExceeded):
+    if isinstance(verdict, Exception):  # the oracle's BudgetExceeded
         lines.append(f"{head}oracle: {verdict}")
     elif verdict and result == "stuck":
         lines.append(f"{head}oracle: set is {verdict} (outcome stuck)")
@@ -205,7 +206,7 @@ def json_value(value: Any) -> Any:
                 "bound": [{"var": f"α{v}", "type": str(t)} for v, t in value.bound]}
     if isinstance(value, RuleError):
         return {"kind": str(value.kind), "path": value.path, "detail": value.detail}
-    if isinstance(value, oracle.BudgetExceeded):
+    if isinstance(value, Exception):  # the oracle's BudgetExceeded, the one other error
         return "budget-exceeded"
     return value
 
@@ -316,7 +317,8 @@ def run(argv: list[str]) -> int:
             return 2
     elif args.seed is not None:
         name = f"<seed {args.seed}>"
-        ctx, rule = oracle.gen_instance(args.seed)
+        from .oracle import gen_instance
+        ctx, rule = gen_instance(args.seed)
         source = render_instance(ctx, rule)
         if not as_json:
             out.append(source.rstrip("\n"))

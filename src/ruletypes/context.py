@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import copy
 import enum
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -24,14 +23,15 @@ from .core import (
     SynApp,
     Term,
     TypeTerm,
+    Value,
     Var,
 )
 
 
-@dataclass(frozen=True)
-class SynRank:
+class SynRank(Value):
     """Rank of a syntactic operator: domain sorts (don't-care decorated) and
-    a codomain decorated with the operator itself."""
+    a codomain decorated with the operator itself.  Direct construction
+    checks the decorations; ``make`` chooses them."""
 
     op: str
     domain: tuple[DecoratedSort, ...]
@@ -46,21 +46,18 @@ class SynRank:
 
     @classmethod
     def make(cls, op: str, domain_sorts: Iterable[Sort], codomain_sort: Sort) -> "SynRank":
-        return cls(
-            op,
-            tuple(DecoratedSort(s) for s in domain_sorts),
-            DecoratedSort(codomain_sort, Decoration(op)),
-        )
+        return cls._unchecked(op, tuple(map(DecoratedSort, domain_sorts)),
+                              DecoratedSort(codomain_sort, Decoration(op)))
 
     def __str__(self) -> str:
         doms = " ".join(str(d.sort) for d in self.domain)
         return f"{self.op} : {doms}{' ' if doms else ''}-> {self.codomain.sort}"
 
 
-@dataclass(frozen=True)
-class VariadicRank:
+class VariadicRank(Value):
     """Rank of a variadic operator: one element sort and a codomain decorated
-    with the operator itself."""
+    with the operator itself.  Direct construction checks the decorations;
+    ``make`` chooses them."""
 
     op: str
     elem: DecoratedSort
@@ -74,7 +71,7 @@ class VariadicRank:
 
     @classmethod
     def make(cls, op: str, elem_sort: Sort, codomain_sort: Sort) -> "VariadicRank":
-        return cls(op, DecoratedSort(elem_sort), DecoratedSort(codomain_sort, Decoration(op)))
+        return cls._unchecked(op, DecoratedSort(elem_sort), DecoratedSort(codomain_sort, Decoration(op)))
 
     def __str__(self) -> str:
         return f"{self.op} : {self.elem.sort}* -> {self.codomain.sort}"
@@ -114,8 +111,7 @@ MERGE = "Merge"  # an argument declared at the operator's own list type
 ELEM = "Elem"    # any other argument, one element of the element sort
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """One well-formedness defect, named after the offending declaration."""
 
     kind: str

@@ -2,16 +2,18 @@
 constraint solver: sorts, decorations, terms, type terms, constraints,
 substitutions, and derivation trees.
 
-Everything here is immutable after construction and safe to share across
-threads (a verdict's derivation tree is built on first read).  Sorts,
-decorations, decorated sorts, type variables and ground types are hash-consed
-(:class:`Interned`), in per-class tables bounded by the names declared and the
-largest type-variable id.  Constraints hash once, when made.
+Every value class of the package derives from :class:`Value`, which writes
+each class's constructor, ``==`` and hash once, when the class is made, from
+the fields its body annotates.  Values are immutable after construction and
+safe to share across threads (a verdict's derivation tree is built on first
+read).  Sorts, decorations, decorated sorts, type variables and ground types
+are hash-consed (:class:`Interned`, a :class:`Value`), in per-class tables
+bounded by the names declared and the largest type-variable id.  Constraints
+hash once, when made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
@@ -19,47 +21,98 @@ if TYPE_CHECKING:
     from .context import Context
 
 
-class Interned:
-    """Base of the hash-consed values, whose fields ``__slots__`` names:
-    ``Cls(*fields)`` returns the one object with those fields, so ``==`` is
-    ``object``'s identity test, and the hash and ``str`` (``_text``) are
-    computed once.  The table insert is a ``dict.setdefault``, so threads
-    racing to make one value all get the object that went in first."""
+class Value:
+    """Base of the immutable value classes.  A subclass annotates its fields
+    in order, a value in its body being the field's default, and gets a
+    constructor that calls its ``__post_init__`` if it has one, ``==`` and a
+    hash by class and the fields not named in its ``uncompared`` class
+    keyword, the dataclass ``repr``, and copy and pickle support through the
+    constructor.  The methods of ``_CODE`` are written once per class, for
+    its fields.  A subclass that declares ``__slots__`` writes its own
+    constructor, ``==`` and hash, and names its fields in ``_fields``."""
+
+    __slots__ = ()
+    _CODE = """\
+def __init__(self, {params}):
+{sets}    {post}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return {equal}
+    return NotImplemented
+def __hash__(self):
+    return hash(({hashed}))
+"""
+
+    def __init_subclass__(cls, uncompared: tuple[str, ...] = ()) -> None:
+        if "__slots__" in cls.__dict__:  # a base with its own constructor: Interned, Constraint
+            return
+        fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        compared = [f for f in fields if f not in uncompared]
+        methods: dict[str, object] = {}
+        exec(cls._CODE.format(
+            params=", ".join(f"{f}=_d[{f!r}]" if f in defaults else f for f in fields),
+            key="".join(f"{f}, " for f in fields),
+            sets="".join(f"    _set(self, {f!r}, {f})\n" for f in fields),
+            post="self.__post_init__()" if hasattr(cls, "__post_init__") else "pass",
+            equal=" and ".join(f"self.{f} == other.{f}" for f in compared) or "True",
+            hashed="".join(f"self.{f}, " for f in compared),
+        ), {"_d": defaults, "_set": object.__setattr__}, methods)
+        for key, method in methods.items():
+            setattr(cls, key, staticmethod(method) if key == "__new__" else method)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """The value of these fields without ``__post_init__``: for
+        constructors that can only build well-formed values."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(obj, name, value)
+        return obj
+
+
+class Interned(Value):
+    """Base of the hash-consed values: ``Cls(*fields)`` returns the one object
+    with those fields, so ``==`` is ``object``'s identity test, and the hash
+    and ``str`` (``_text``) are computed once.  The table insert is a
+    ``dict.setdefault``, so threads racing to make one value all get the
+    object that went in first."""
 
     __slots__ = ("_hash", "_str")
+    _CODE = """\
+def __new__(cls, {params}):
+    key = ({key})
+    obj = cls._table.get(key)
+    return cls._intern(key) if obj is None else obj
+"""
 
     def __init_subclass__(cls) -> None:
         cls._table = {}
+        super().__init_subclass__()
 
-    def __new__(cls, *fields):
-        obj = cls._table.get(fields)
-        if obj is None:
-            if len(fields) != len(cls.__slots__):
-                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields, got {len(fields)}")
-            obj = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
-                object.__setattr__(obj, name, value)
-            object.__setattr__(obj, "_hash", hash(fields))
-            object.__setattr__(obj, "_str", obj._text())
-            obj = cls._table.setdefault(fields, obj)
-        return obj
+    @classmethod
+    def _intern(cls, key: tuple) -> Interned:
+        obj = cls._unchecked(*key)
+        object.__setattr__(obj, "_hash", hash(key))
+        object.__setattr__(obj, "_str", obj._text())
+        return cls._table.setdefault(key, obj)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
         return self._str
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
-
-    def __reduce__(self):  # a copy or unpickled value is the interned object
-        return type(self), tuple(getattr(self, n) for n in self.__slots__)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +121,6 @@ class Interned:
 class Sort(Interned):
     """A base sort, compared by name."""
 
-    __slots__ = ("name",)
     name: str
 
     def _text(self) -> str:
@@ -79,11 +131,7 @@ class Decoration(Interned):
     """Head-operator decoration on a sort; ``symbol=None`` is the don't-care
     decoration, printed ``?``."""
 
-    __slots__ = ("symbol",)
-    symbol: str | None
-
-    def __new__(cls, symbol: str | None = None) -> Decoration:
-        return super().__new__(cls, symbol)
+    symbol: str | None = None
 
     @property
     def is_any(self) -> bool:
@@ -99,12 +147,8 @@ ANY = Decoration()
 class DecoratedSort(Interned):
     """A sort paired with a decoration, e.g. ``Z^l`` or ``N^?``."""
 
-    __slots__ = ("sort", "deco")
     sort: Sort
-    deco: Decoration
-
-    def __new__(cls, sort: Sort, deco: Decoration = ANY) -> DecoratedSort:
-        return super().__new__(cls, sort, deco)
+    deco: Decoration = ANY
 
     def _text(self) -> str:
         return f"{self.sort}^{self.deco}"
@@ -128,7 +172,6 @@ class TypeTerm:
 class TypeVar(Interned, TypeTerm):
     """A type variable, printed ``α<n>``."""
 
-    __slots__ = ("id",)
     id: int
 
     def _text(self) -> str:
@@ -138,15 +181,13 @@ class TypeVar(Interned, TypeTerm):
 class GroundType(Interned, TypeTerm):
     """A ground type term: a decorated sort."""
 
-    __slots__ = ("dsort",)
     dsort: DecoratedSort
 
     def _text(self) -> str:
         return str(self.dsort)
 
 
-@dataclass(frozen=True)
-class WtType(TypeTerm):
+class WtType(TypeTerm, Value):
     """The special sort concluding condition- and rule-level judgments."""
 
     def __str__(self) -> str:
@@ -169,16 +210,14 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Term):
+class Var(Term, Value):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class StarVar(Term):
+class StarVar(Term, Value):
     """A variable standing for a sublist segment; printed with a ``*``."""
 
     name: str
@@ -187,8 +226,7 @@ class StarVar(Term):
         return f"{self.name}*"
 
 
-@dataclass(frozen=True)
-class SynApp(Term):
+class SynApp(Term, Value):
     """Application of a syntactic (fixed-arity) operator."""
 
     op: str
@@ -201,8 +239,7 @@ class SynApp(Term):
         return f"{self.op}({','.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
-class ListApp(Term):
+class ListApp(Term, Value):
     """Application of a variadic (associative list) operator."""
 
     op: str
@@ -221,8 +258,7 @@ class Cond:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Match(Cond):
+class Match(Cond, Value):
     """A matching condition ``pattern << [at] subject``.
 
     ``at`` is a ground decorated sort in checking mode, a type variable in
@@ -239,8 +275,7 @@ class Match(Cond):
         return f"{self.pattern} << [{ann}] {self.subject}"
 
 
-@dataclass(frozen=True)
-class Conj(Cond):
+class Conj(Cond, Value):
     """A conjunction of at least two conditions (single conditions stay bare)."""
 
     conds: tuple[Cond, ...]
@@ -254,8 +289,7 @@ class Conj(Cond):
         return " /\\ ".join(str(c) for c in self.conds)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Value):
     """A rule ``cond -> (e1, ..., en)``; the action may be empty."""
 
     cond: Cond
@@ -271,11 +305,12 @@ class Rule:
 # ---------------------------------------------------------------------------
 # Constraints
 
-class Constraint:
+class Constraint(Value):
     """Base class for constraints: immutable, equal when of one class with the
     same (interned) sides, and never holding ``wt``."""
 
     __slots__ = ("lhs", "rhs", "_hash")
+    _fields = ("lhs", "rhs")
     lhs: TypeTerm
     rhs: TypeTerm
 
@@ -290,13 +325,9 @@ class Constraint:
         return type(other) is type(self) and other.lhs is self.lhs and other.rhs is self.rhs
 
     __hash__ = Interned.__hash__
-    __setattr__ = __delattr__ = Interned.__setattr__
 
     def __str__(self) -> str:
         return f"{self.lhs} {self._op} {self.rhs}"
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(lhs={self.lhs!r}, rhs={self.rhs!r})"
 
 
 # The slots' own setters, which cost half of ``object.__setattr__``: inference
@@ -466,8 +497,7 @@ RULE_LABELS = frozenset({
 Subject = Union[Term, Cond, Rule]
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Value):
     """One applied rule instance: label, concluded judgment, premises.
 
     Checking derivations carry ``constraints=None``; inference derivations

@@ -7,7 +7,6 @@ generators that drive the property suites.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .context import Context, SynRank, VariadicRank, validate
 from .core import (
@@ -30,6 +29,7 @@ from .core import (
     Term,
     TypeTerm,
     TypeVar,
+    Value,
     Var,
     WtType,
     apply_subst,
@@ -403,8 +403,7 @@ def strip_typings(ctx: Context) -> Context:
 # ---------------------------------------------------------------------------
 # Seeded instance generators
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(Value):
     """Size knobs for the instance generator.
 
     ``directed`` is the probability of building a rule type-directed (well

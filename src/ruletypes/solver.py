@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import defaultdict
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Union
 
@@ -51,11 +50,11 @@ from .core import (
     Substitution,
     TypeTerm,
     TypeVar,
+    Value,
 )
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Value):
     """One applied resolution rule: its number, what it consumed and
     produced, any binding it recorded, and the degree left behind."""
 
@@ -66,21 +65,18 @@ class TraceStep:
     degree_after: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Solved:
+class Solved(Value):
     subst: Substitution
     trace: tuple[TraceStep, ...]
 
 
-@dataclass(frozen=True)
-class Failed:
+class Failed(Value):
     fail_rule: int
     witness: tuple[Constraint, ...]
     trace: tuple[TraceStep, ...]
 
 
-@dataclass(frozen=True)
-class Stuck:
+class Stuck(Value):
     residual: ConstraintSet
     trace: tuple[TraceStep, ...]
 

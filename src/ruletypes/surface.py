@@ -24,7 +24,6 @@ The format, one declaration per line, ``//`` comments::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .context import Context, SynRank, VariadicRank
@@ -41,12 +40,12 @@ from .core import (
     StarVar,
     SynApp,
     Term,
+    Value,
     Var,
 )
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(Value):
     line: int
     col: int
 
@@ -64,55 +63,48 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Declarations (positions excluded from equality for round-trip tests)
 
-@dataclass(frozen=True)
-class SortDecl:
+class SortDecl(Value, uncompared=("pos",)):
     name: str
     supersort: str | None = None
-    pos: Pos = field(default=Pos(0, 0), compare=False)
+    pos: Pos = Pos(0, 0)
 
 
-@dataclass(frozen=True)
-class OpDecl:
+class OpDecl(Value, uncompared=("pos",)):
     rank: SynRank
-    pos: Pos = field(default=Pos(0, 0), compare=False)
+    pos: Pos = Pos(0, 0)
 
 
-@dataclass(frozen=True)
-class VopDecl:
+class VopDecl(Value, uncompared=("pos",)):
     rank: VariadicRank
-    pos: Pos = field(default=Pos(0, 0), compare=False)
+    pos: Pos = Pos(0, 0)
 
 
 # A typing or match annotation is None for the fresh marker `?`.
 
-@dataclass(frozen=True)
-class VarDecl:
+class VarDecl(Value, uncompared=("pos",)):
     name: str
     ann: GroundType | None
-    pos: Pos = field(default=Pos(0, 0), compare=False)
+    pos: Pos = Pos(0, 0)
 
 
-@dataclass(frozen=True)
-class SvarDecl:
+class SvarDecl(Value, uncompared=("pos",)):
     name: str
     ann: GroundType | None
-    pos: Pos = field(default=Pos(0, 0), compare=False)
+    pos: Pos = Pos(0, 0)
 
 
-@dataclass(frozen=True)
-class RuleDecl:
+class RuleDecl(Value, uncompared=("pos",)):
     """A rule as parsed: every application is still a :class:`SynApp`."""
 
     conds: tuple[Match, ...]
     actions: tuple[Term, ...]
-    pos: Pos = field(default=Pos(0, 0), compare=False)
+    pos: Pos = Pos(0, 0)
 
 
 Decl = Union[SortDecl, OpDecl, VopDecl, VarDecl, SvarDecl, RuleDecl]
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class SourceFile(Value):
     decls: tuple[Decl, ...]
 
     @property

@@ -4,7 +4,10 @@ and diagnostics instead of a traceback on very deep nesting or a closed
 pipe."""
 
 import json
+import os
+import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -405,6 +408,27 @@ def test_long_subsort_chain_validates(capsys, tmp_path):
 def test_solve_oracle_reports_its_verdict(capsys, fixtures_dir, source, code, outcome, verdict):
     assert cli.run(["solve", "--oracle", str(fixtures_dir / source)]) == code
     assert capsys.readouterr().out.splitlines() == [f"rule 1: {outcome}", f"rule 1: {verdict}"]
+
+
+def test_cli_imports_neither_dataclasses_nor_the_oracle():
+    # In a fresh interpreter without site: pytest has imported dataclasses
+    # and inspect into this one.
+    probe = ("import sys, ruletypes.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'ruletypes.oracle'} & set(sys.modules)))")
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+def test_solve_oracle_reports_an_exceeded_budget(capsys, fixtures_dir):
+    argv = ["solve", "--oracle", "--max-enum", "1", str(fixtures_dir / "example4.rules")]
+    assert cli.run(argv) == 5
+    assert capsys.readouterr().out.splitlines()[-1] == "rule 1: oracle: enumeration exceeded 1 candidates"
+    assert cli.run(argv + ["--format", "json"]) == 5
+    report = json.loads(capsys.readouterr().out)
+    assert report["rules"][0]["result"] == "solved"
+    assert report["rules"][0]["oracle"] == "budget-exceeded" and report["exit"] == 5
 
 
 @pytest.mark.parametrize("argv", [

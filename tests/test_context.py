@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from hypothesis import given, strategies as st
 
 import support
@@ -105,6 +106,28 @@ def test_common_supersort_shared_sort(gamma_ex):
 def test_common_supersort_disjoint_roots():
     ctx = Context(sorts=[Sort("A"), Sort("B")])
     assert ctx.common_supersort(dsort("A"), dsort("B")) is None
+
+
+# ---------------------------------------------------------------------------
+# Ranks
+
+def test_make_chooses_the_decorations():
+    assert SynRank.make("f", [Sort("Z"), Sort("N")], Sort("Z")) == SynRank(
+        "f", (dsort("Z"), dsort("N")), dsort("Z", "f"))
+    assert VariadicRank.make("l", Sort("Z"), Sort("N")) == VariadicRank("l", dsort("Z"), dsort("N", "l"))
+    assert str(SynRank.make("c", [], Sort("N"))) == "c : -> N"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SynRank("f", (dsort("Z"),), dsort("Z")),             # codomain not decorated by f
+    lambda: SynRank("f", (dsort("Z"),), dsort("Z", "g")),
+    lambda: SynRank("f", [dsort("Z", "l")], dsort("Z", "f")),    # decorated domain sort
+    lambda: VariadicRank("l", dsort("Z"), dsort("Z", "f")),
+    lambda: VariadicRank("l", dsort("Z", "l"), dsort("Z", "l")),  # decorated element sort
+])
+def test_direct_construction_rejects_ill_formed_decorations(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,23 @@ from ruletypes import (
     free_type_vars,
     subst_satisfies,
 )
-from ruletypes.core import Conj, DecoratedSort, Decoration, GroundType, Match, Sort, TypeVar, Var
+from ruletypes.context import SynRank, Violation
+from ruletypes.core import (
+    Conj,
+    DecoratedSort,
+    Decoration,
+    GroundType,
+    ListApp,
+    Match,
+    Sort,
+    StarVar,
+    SynApp,
+    TypeVar,
+    Var,
+)
+from ruletypes.oracle import GenParams
+from ruletypes.solver import TraceStep
+from ruletypes.surface import Pos, SortDecl, VarDecl
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +166,8 @@ def test_equal_type_terms_are_one_object():
     assert dsort("Z", "l") is DecoratedSort(Sort("Z"), Decoration("l"))
     assert dsort("Z") is DecoratedSort(Sort("Z")) is DecoratedSort(Sort("Z"), Decoration(None))
     assert g("Z", "l") is GroundType(dsort("Z", "l")) and g("Z") is not g("Z", "l")
-    assert copy.deepcopy(g("Z", "l")) is pickle.loads(pickle.dumps(g("Z", "l"))) is g("Z", "l")
+    for value in (Sort("Z"), Decoration(), dsort("Z", "l"), a(2), g("Z", "l")):
+        assert copy.copy(value) is copy.deepcopy(value) is pickle.loads(pickle.dumps(value)) is value
 
 
 def test_equal_constraints_compare_and_hash_alike():
@@ -159,11 +176,13 @@ def test_equal_constraints_compare_and_hash_alike():
     assert Eq(a(1), a(2)) != Sub(a(1), a(2))
     assert Sub(a(1), a(2)) != Sub(a(2), a(1))
     assert len({s1, s2, Eq(a(1), g("Z", "l"))}) == 2
+    assert copy.copy(s1) == copy.deepcopy(s1) == pickle.loads(pickle.dumps(s1)) == s1
 
 
 @pytest.mark.parametrize("value, name", [
     (Sort("Z"), "name"), (Decoration("l"), "symbol"), (dsort("Z"), "deco"), (a(1), "id"),
     (g("Z"), "dsort"), (Eq(a(1), a(2)), "lhs"), (Sub(a(1), g("Z")), "rhs"),
+    (Var("x"), "name"), (SynApp("f"), "args"), (Pos(1, 2), "col"), (VarDecl("x", None), "pos"),
 ])
 def test_values_are_immutable(value, name):
     with pytest.raises(AttributeError):
@@ -177,6 +196,37 @@ def test_repr_names_the_class_and_fields():
     assert repr(g("Z", "l")) == ("GroundType(dsort=DecoratedSort(sort=Sort(name='Z'), "
                                  "deco=Decoration(symbol='l')))")
     assert repr(Sub(a(1), a(2))) == "Sub(lhs=TypeVar(id=1), rhs=TypeVar(id=2))"
+    assert repr(Var("x")) == "Var(name='x')"
+    assert repr(SynApp("f", [Var("x")])) == "SynApp(op='f', args=(Var(name='x'),))"
+    assert repr(VarDecl("x", None, Pos(1, 2))) == "VarDecl(name='x', ann=None, pos=Pos(line=1, col=2))"
+    assert repr(WT) == "WtType()"
+
+
+def test_values_compare_and_hash_by_class_and_fields():
+    assert Var("x") == Var("x") and hash(Var("x")) == hash(Var("x"))
+    assert Var("x") != StarVar("x") and SynApp("f") != ListApp("f")
+    assert Var("x") != Var("y") and Var("x") != "x"
+    app = SynApp("f", [Var("x"), Var("y")])
+    assert app == SynApp("f", (Var("x"), Var("y"))) and hash(app) == hash(SynApp("f", (Var("x"), Var("y"))))
+    assert Pos(1, 2) != Pos(2, 1) and len({Pos(1, 2), Pos(1, 2), Pos(2, 1)}) == 2
+
+
+def test_declarations_compare_without_their_position():
+    first, second = VarDecl("x", g("Z"), Pos(1, 1)), VarDecl("x", g("Z"), Pos(7, 3))
+    assert first == second and hash(first) == hash(second) and first.pos != second.pos
+    assert first != VarDecl("y", g("Z"), Pos(1, 1)) and first != VarDecl("x", None, Pos(1, 1))
+    assert SortDecl("N", "Z", Pos(2, 1)) == SortDecl("N", "Z")
+
+
+@pytest.mark.parametrize("value", [
+    Var("x"), StarVar("xs"), SynApp("f", (Var("x"), ListApp("l"))), Match(Var("x"), Var("y"), g("Z")),
+    Pos(3, 4), VarDecl("x", g("Z", "l"), Pos(1, 2)), SynRank.make("f", [Sort("Z")], Sort("N")),
+    TraceStep("6", (Sub(a(1), g("Z")),), (), ((1, g("Z")),), (0, 0)), Violation("cycle", "A <: A"),
+    GenParams(directed=0.5), WT,
+], ids=lambda value: type(value).__name__)
+def test_copies_and_pickles_are_equal_values(value):
+    for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert other == value and hash(other) == hash(value) and repr(other) == repr(value)
 
 
 def test_interning_is_thread_safe():
