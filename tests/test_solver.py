@@ -1,10 +1,17 @@
+from collections import Counter
+
+import pytest
+
 import support
-from support import a, g
+from conftest import FIXTURES
+from support import a, g, wide_rule
 
 from ruletypes import ConstraintSet, Eq, Sub, subst_satisfies
 from ruletypes.core import GroundType
+from ruletypes.infer import FreshSupply, infer_rule, init_context
 from ruletypes.oracle import enumerate_solutions, gen_constraints
 from ruletypes.solver import Failed, Solved, Stuck, degree, detect_failure, solve
+from ruletypes.surface import build_context, parse, resolve_rule
 
 
 def grounding(subst, var):
@@ -180,3 +187,36 @@ def test_termination_and_soundness_on_random_sets():
 def test_solving_is_deterministic(gamma_ex):
     constraints = support.resolution_example_constraints()
     assert solve(gamma_ex, constraints) == solve(gamma_ex, constraints)
+
+
+# ---------------------------------------------------------------------------
+# the rule mix of inferred sets, pinned: a change to the engine that keeps
+# every verdict must keep every step
+
+def solve_source(source: str):
+    """The outcome of ``solve`` on each rule of a source, as the CLI runs it."""
+    sf = parse(source)
+    ctx = build_context(sf)
+    for decl in sf.rules:
+        fresh = FreshSupply()
+        rule = resolve_rule(decl, ctx)
+        gamma = init_context(ctx, rule, fresh)
+        yield solve(gamma, infer_rule(gamma, rule, fresh).constraints)
+
+
+MIXES = {
+    "example4": {"1": 1, "2": 1, "3": 1, "4": 5, "5": 3, "13": 1},
+    "produce": {"3": 1, "4": 4, "12": 1},
+    "wide40": {"1": 1, "3": 64, "4": 100, "5": 4, "13": 7, "14": 1},
+    "wide80": {"1": 1, "3": 128, "4": 196, "5": 4, "13": 7, "14": 1},
+    "wide160": {"1": 1, "3": 256, "4": 388, "5": 4, "13": 7, "14": 1},
+}
+
+
+@pytest.mark.parametrize("name, mix", MIXES.items(), ids=list(MIXES))
+def test_rule_mix_is_pinned(name, mix):
+    source = (wide_rule(int(name[4:])) if name.startswith("wide")
+              else (FIXTURES / f"{name}.rules").read_text(encoding="utf-8"))
+    outcome, = solve_source(source)
+    assert isinstance(outcome, Solved)
+    assert Counter(step.rule for step in outcome.trace) == mix
