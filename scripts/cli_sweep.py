@@ -11,9 +11,10 @@ run, so a diff of two sweeps shows exactly which runs a change touched:
 The runs are every fixture and corpus file under ``tests/fixtures`` ×
 command × text/JSON × with and without ``--trace``; ``--seed`` inputs;
 ``solve --oracle``, also with too small a budget; usage errors; and the
-inline sources below (parse errors, rule errors, deep nesting and a wide
-list).  Runs are in-process, one after another, with the working directory
-at the input's directory so that file names print the same in any checkout.
+inline sources below (parse errors, rule errors, deep nesting, a wide list,
+and a 36-wide list pattern that solves and one that fails).  Runs are
+in-process, one after another, with the working directory at the input's
+directory so that file names print the same in any checkout.
 """
 
 from __future__ import annotations
@@ -58,6 +59,28 @@ INLINE = {
                          + " << [Z] t -> (t)\n",
     "wide-100.rules": SIGNATURE + "rule L(" + ",".join(["c()"] * 100) + ") << [Z] t -> (t)\n",
 }
+
+# A 36-element list pattern in inference form, which the solver takes some
+# hundred steps to solve, and the same with its middle element replaced by
+# one that fails: the text of ``wide_rule(36)`` and ``wide_rule(36,
+# "g(f(x1,x1))")`` in ``tests/support.py``.
+LIST_SIGNATURE = """\
+sort Z
+sort N <: Z
+sort E
+op c : -> N
+op s : Z -> N
+op f : Z Z -> Z
+op g : N -> Z
+vop L : Z* -> E
+vop M : N* -> Z
+"""
+WIDE_HEAD = ("w0*,L(x1,c()),x2,c(),s(x4),f(x0,s(c())),g(s(y1)),M(c(),m2*),s(f(g(s(x3)),M(s(x3),y3))),"
+             "w2*,w0*,L(x1,c()),x2,c(),s(x4),f(x0,s(c())),g(s(y1)),M(c(),m2*),")
+WIDE_TAIL = (",w0*,w0*,L(x1,c()),x2,c(),s(x4),f(x0,s(c())),g(s(y1)),M(c(),m2*),s(f(g(s(x3)),M(s(x3),y3))),"
+             "w1*,w0*,L(x1,c()),x2,c(),s(x4),f(x0,s(c()))")
+for name, middle in (("wide-36", "s(f(g(s(x3)),M(s(x3),y3)))"), ("wide-36-failing", "g(f(x1,x1))")):
+    INLINE[f"{name}.rules"] = LIST_SIGNATURE + f"rule L({WIDE_HEAD}{middle}{WIDE_TAIL}) << [?] t -> (t)\n"
 
 COMMANDS = ("check", "infer", "solve", "validate")
 USAGE = ([], ["bogus"], ["check"], ["check", "--format", "xml", "example2.rules"],

@@ -13,7 +13,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from ruletypes import cli
+from ruletypes import cli, solver
 from ruletypes.core import RULE_LABELS, Constraint, Derivation, Eq, GroundType, Sub, TypeVar, dsort
 
 
@@ -236,6 +236,35 @@ def test_derivation_is_built_only_to_be_printed(capsys, monkeypatch, tmp_path, c
     assert cli.run([command, "--trace", "--format", fmt, str(path)]) == 0
     printed = printed_nodes(capsys.readouterr().out, fmt)
     assert printed > 120 and len(built) == printed
+
+
+def printed_steps(output: str, fmt: str) -> int:
+    """The number of solver steps in a report's traces."""
+    if fmt == "text":
+        return sum(re.match(r"  \((\d+|7a|7b)\) ", line) is not None for line in output.splitlines())
+    return sum(len(rule["steps"]) for rule in json.loads(output)["rules"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solver_trace_is_built_only_to_be_printed(capsys, monkeypatch, tmp_path, fmt):
+    built = []
+    init = solver.TraceStep.__init__
+
+    def counted(step, *fields):
+        built.append(step)
+        init(step, *fields)
+
+    monkeypatch.setattr(solver.TraceStep, "__init__", counted)
+    path = tmp_path / "wide.rules"
+    path.write_text(SOURCE.format(pattern=f"L({','.join(['s(c())'] * 40)})", ann="?"))
+
+    assert cli.run(["solve", "--format", fmt, str(path)]) == 0
+    capsys.readouterr()
+    assert built == []
+
+    assert cli.run(["solve", "--trace", "--format", fmt, str(path)]) == 0
+    printed = printed_steps(capsys.readouterr().out, fmt)
+    assert printed > 40 and len(built) == printed
 
 
 def loads_deep(text: str):

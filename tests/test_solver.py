@@ -1,9 +1,11 @@
+import copy
+import pathlib
+import pickle
 from collections import Counter
 
 import pytest
 
 import support
-from conftest import FIXTURES
 from support import a, g, wide_rule
 
 from ruletypes import ConstraintSet, Eq, Sub, subst_satisfies
@@ -12,6 +14,8 @@ from ruletypes.infer import FreshSupply, infer_rule, init_context
 from ruletypes.oracle import enumerate_solutions, gen_constraints
 from ruletypes.solver import Failed, Solved, Stuck, degree, detect_failure, solve
 from ruletypes.surface import build_context, parse, resolve_rule
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def grounding(subst, var):
@@ -43,6 +47,14 @@ def test_ground_pair_outside_the_closure_fails(gamma_ex):
 
 def test_empty_set_has_no_failure(gamma_ex):
     assert detect_failure(gamma_ex, []) is None
+
+
+def test_variable_ids_beyond_the_code_width_are_rejected(gamma_ex):
+    # The engine codes α_k as 2k in 40 bits of a constraint key.
+    for run in (solve, detect_failure):
+        with pytest.raises(ValueError, match="below 2"):
+            run(gamma_ex, [Sub(g("N"), a(1)), Eq(a(1), a(2**39))])
+    assert isinstance(solve(gamma_ex, [Eq(a(1), a(2**39 - 1))]), Solved)
 
 
 def test_disjoint_lower_bounds_fail():
@@ -220,3 +232,29 @@ def test_rule_mix_is_pinned(name, mix):
     outcome, = solve_source(source)
     assert isinstance(outcome, Solved)
     assert Counter(step.rule for step in outcome.trace) == mix
+
+
+# ---------------------------------------------------------------------------
+# outcomes are values before their trace is read: ``solve`` logs its steps
+# and the trace is decoded on first read
+
+OUTCOMES = {
+    Solved: lambda: solve(support.gamma_ex(), support.resolution_example_constraints()),
+    Failed: lambda: next(solve_source(wide_rule(16, "M(f(c(),c()))"))),
+    Stuck: lambda: next(solve_source((FIXTURES / "stuck.rules").read_text(encoding="utf-8"))),
+}
+
+
+@pytest.mark.parametrize("cls", OUTCOMES, ids=lambda cls: cls.__name__)
+def test_outcomes_are_values_before_their_trace_is_read(cls):
+    make = OUTCOMES[cls]
+    outcome = make()
+    assert isinstance(outcome, cls) and outcome.trace
+    for other in (copy.copy(make()), copy.deepcopy(make()), pickle.loads(pickle.dumps(make()))):
+        assert other == outcome and hash(other) == hash(outcome)
+
+    first, second = make(), make()
+    assert hash(first) == hash(second) and first == second
+
+    text = repr(make())
+    assert "TraceStep(" in text and text == repr(outcome)
