@@ -13,7 +13,6 @@ import argparse
 import functools
 import os
 import sys
-from itertools import chain
 from json.encoder import encode_basestring
 from typing import Any, Iterator
 
@@ -21,7 +20,7 @@ from . import checker, solver
 from .context import Context, ErrKind, RuleError, validate
 from .core import Cond, Constraint, ConstraintSet, Derivation, Rule, Sub, Substitution, TypeTerm
 from .infer import FreshSupply, infer_rule, init_context
-from .surface import ParseError, build_context, parse, render_instance, resolve_rule
+from .surface import ParseError, SvarDecl, build_context, parse, render_instance, resolve_rule
 
 
 # ---------------------------------------------------------------------------
@@ -80,22 +79,10 @@ def _typings(gamma: Context) -> list[tuple[str, TypeTerm]]:
 # ---------------------------------------------------------------------------
 # Text rendering
 
-def _judgment_constraints(d: Derivation) -> dict[int, ConstraintSet]:
-    """The constraint set of every inference judgment in ``d``, keyed by node
-    id: its premises' sets, then the node's own constraints."""
-    sets: dict[int, ConstraintSet] = {}
-    for node in reversed(list(d.walk())):  # every node after its premises
-        if node.constraints is not None:
-            sets[id(node)] = ConstraintSet(chain(
-                *(sets[id(p)] for p in node.premises), node.constraints))
-    return sets
-
-
 def render_derivation(d: Derivation) -> str:
     """One judgment per line, two spaces of indent per premise depth, the
     rule label right-aligned after the widest judgment; an inference
-    judgment also lists its own constraints that no premise's set has."""
-    sets = _judgment_constraints(d)
+    judgment also lists the constraints its own rule emitted."""
     rows: list[tuple[str, str]] = []
     stack = [(0, d)]
     while stack:
@@ -103,9 +90,7 @@ def render_derivation(d: Derivation) -> str:
         subject = f"({node.subject})" if isinstance(node.subject, (Cond, Rule)) else node.subject
         body = f"{'  ' * depth}{subject} : {node.type}"
         if node.constraints is not None:
-            inherited = set(chain(*(sets[id(p)] for p in node.premises)))
-            new = [c for c in node.constraints if c not in inherited]
-            body += " • {" + ", ".join(str(c) for c in new) + "}"
+            body += f" • {node.constraints}"
         rows.append((body, node.rule))
         stack.extend((depth + 1, p) for p in reversed(node.premises))
     width = max(len(body) for body, _ in rows)
@@ -174,14 +159,16 @@ def constraint_json(c: Constraint) -> dict[str, str]:
 
 
 def derivation_json(d: Derivation) -> dict[str, Any]:
-    sets = _judgment_constraints(d)
+    """The derivation as nested ``rule``/``conclusion``/``premises`` dicts; an
+    inference judgment's conclusion also lists the constraints its own rule
+    emitted."""
     root: list[dict[str, Any]] = []
     stack = [(d, root)]  # a node, and its parent's premise list
     while stack:
         node, siblings = stack.pop()
         conclusion: dict[str, Any] = {"subject": str(node.subject), "type": str(node.type)}
         if node.constraints is not None:
-            conclusion["constraints"] = list(sets[id(node)])
+            conclusion["constraints"] = list(node.constraints)
         siblings.append({"rule": node.rule, "conclusion": conclusion, "premises": []})
         stack.extend((p, siblings[-1]["premises"]) for p in reversed(node.premises))
     return root[0]
@@ -344,7 +331,7 @@ def run(argv: list[str]) -> int:
     problems = [f"{name}: {v}" for v in violations]
     if args.command == "check" and not problems:
         problems = [f"{name}:{d.pos}: check mode needs a ground typing for "
-                    f"{getattr(d, 'name', '?')}" for d in sf.fresh_marked]
+                    f"{d.name}{'*' if isinstance(d, SvarDecl) else ''}" for d in sf.fresh_marked]
         problems += [f"{name}:{d.pos}: check mode needs ground match annotations"
                      for d in sf.rules if any(m.at is None for m in d.conds)]
     if problems:

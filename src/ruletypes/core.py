@@ -535,7 +535,9 @@ Record = tuple[str, Union[Subject, tuple[ListApp, int]], Union[TypeTerm, Decorat
 class Derived:
     """A verdict that keeps its walk's post-order records and builds the
     derivation tree from them with a stack on first read.  The tree fixes the
-    other fields, so verdicts of one class are equal when their trees are."""
+    other fields, and the records and the tree fix each other, so verdicts of
+    one class are equal when their records are: ``==`` and the hash read the
+    records, each with its own constraints as a set, and build no tree."""
 
     def __init__(self, records: Sequence[Record]):
         self._records = records
@@ -551,8 +553,12 @@ class Derived:
                                     else type_, premises, None if own is None else ConstraintSet(own)))
         return stack.pop()
 
+    def _key(self) -> tuple[tuple, ...]:
+        return tuple((rule, subject, type_, arity, None if own is None else frozenset(own))
+                     for rule, subject, type_, arity, own in self._records)
+
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self.derivation == other.derivation
+        return type(other) is type(self) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self.derivation)
+        return hash(self._key())

@@ -112,7 +112,7 @@ class SourceFile(Value):
         return tuple(d for d in self.decls if isinstance(d, RuleDecl))
 
     @property
-    def fresh_marked(self) -> tuple[Decl, ...]:
+    def fresh_marked(self) -> tuple[VarDecl | SvarDecl, ...]:
         """Variable declarations whose typing is the fresh marker ``?``."""
         return tuple(d for d in self.decls
                      if isinstance(d, (VarDecl, SvarDecl)) and d.ann is None)

@@ -13,6 +13,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+import support
 from ruletypes import cli, solver
 from ruletypes.core import RULE_LABELS, Constraint, Derivation, Eq, GroundType, Sub, TypeVar, dsort
 
@@ -292,6 +293,65 @@ def test_json_trace_of_a_wide_list(capsys, tmp_path):
     while node["premises"]:
         node, depth = node["premises"][0], depth + 1
     assert node["rule"] == "T-Empty" and depth > 600
+
+
+def listed_constraints(output: str, fmt: str) -> int:
+    """The number of constraints listed at the derivation nodes of a report."""
+    if fmt == "text":
+        lists = re.findall(r" • \{(.*)\} *  \[[\w-]+\]$", output, re.MULTILINE)
+        return sum(len(body.split(", ")) for body in lists if body)
+    stack = [rule["derivation"] for rule in loads_deep(output)["rules"]]
+    count = 0
+    while stack:
+        node = stack.pop()
+        count += len(node["conclusion"]["constraints"])
+        stack.extend(node["premises"])
+    return count
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("width, emitted", [(40, 214), (80, 422), (160, 838)])
+def test_trace_lists_what_each_rule_emitted(capsys, tmp_path, fmt, width, emitted):
+    # Counter gate: every node lists only its own rule's constraints, so the
+    # trace lists each emitted constraint once and grows with the rule.
+    path = tmp_path / "wide.rules"
+    path.write_text(support.wide_rule(width))
+    assert cli.run(["infer", "--trace", "--format", fmt, str(path)]) == 0
+    assert listed_constraints(capsys.readouterr().out, fmt) == emitted
+
+
+def judgment_set(node: dict) -> list[tuple[str, str, str]]:
+    """A JSON judgment's full constraint set: its premises' sets in order,
+    then its own constraints, each constraint at its first occurrence."""
+    found: dict[tuple[str, str, str], None] = {}
+    for premise in node["premises"]:
+        found.update(dict.fromkeys(judgment_set(premise)))
+    found.update(dict.fromkeys((c["kind"], c["lhs"], c["rhs"]) for c in node["conclusion"]["constraints"]))
+    return list(found)
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+INFERRED_FILES = sorted(FIXTURES.glob("*.rules")) + sorted((FIXTURES / "corpus").glob("*.rules"))
+
+
+@pytest.mark.parametrize("path", INFERRED_FILES, ids=[p.name for p in INFERRED_FILES])
+def test_json_trace_rebuilds_the_constraint_set(capsys, path):
+    # The JSON trace loses nothing: the root's set, rebuilt from what each
+    # node emitted, is the rule's constraint set, in order.
+    cli.run(["infer", "--trace", "--format", "json", str(path)])
+    rules = json.loads(capsys.readouterr().out)["rules"]
+    assert rules and all("derivation" in rule for rule in rules)
+    for rule in rules:
+        assert judgment_set(rule["derivation"]) == [
+            (c["kind"], c["lhs"], c["rhs"]) for c in rule["constraints"]]
+
+
+def test_check_mode_names_each_open_typing(capsys, tmp_path):
+    path = tmp_path / "open.rules"
+    path.write_text("sort Z\nvar x : ?\nsvar w* : ?\nrule x << [Z] x -> ()\n")
+    assert cli.run(["check", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"{path}:2:1: check mode needs a ground typing for x\n"
+                                       f"{path}:3:1: check mode needs a ground typing for w*\n")
 
 
 json_values = st.recursive(

@@ -287,6 +287,20 @@ def test_inference_is_deterministic():
     assert r1 == r2
 
 
+def test_verdicts_deeper_than_the_stack_compare_and_hash():
+    # A 1200-element list's derivation is 1200 levels deep.  ``==`` and the
+    # hash read the post-order records, so they neither recurse per level
+    # nor build the tree.
+    def inferred(last):
+        elems = ",".join(["c()"] * 1199 + [last])
+        return next(_inferred_rules(support.LIST_SIGNATURE + f"rule L({elems}) << [?] t -> (t)\n"))
+
+    first, second = inferred("c()"), inferred("c()")
+    assert first == second and hash(first) == hash(second)
+    assert first != inferred("s(c())")
+    assert "derivation" not in vars(first)
+
+
 def _inferred_rules(source):
     sf = parse(source)
     ctx = build_context(sf)
