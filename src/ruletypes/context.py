@@ -2,8 +2,9 @@
 typings, with the decorated-subtype and sort-lookup queries that the
 checking, inference, and resolution rules key on.
 
-Contexts are immutable after construction; the subsort closure is computed
-once and cached, so a validated context can be shared across threads.
+Contexts are immutable after construction and hold only their declarations;
+order queries walk the first-declared parents, so a validated context can be
+shared across threads.
 """
 
 from __future__ import annotations
@@ -164,26 +165,6 @@ class Context:
             if parent not in self._parents[child]:
                 self._parents[child].append(parent)
 
-        # Each sort's ancestor chain along first parents, self first, built
-        # from its parent's finished chain.  A walk that meets its own path
-        # has closed a cycle, and each member's chain goes round it once, so
-        # closure queries stay total on ill-formed input.
-        self._chains: dict[Sort, tuple[Sort, ...]] = {}
-        for s in self._parents:
-            path: dict[Sort, int] = {}  # the sorts walked from s, in order
-            cur: Sort | None = s
-            while cur is not None and cur not in self._chains and cur not in path:
-                path[cur] = len(path)
-                cur = next(iter(self._parents.get(cur, ())), None)
-            walked = list(path)
-            if cur in path:
-                cycle = walked[path[cur]:]
-                self._chains.update((t, (*cycle[i:], *cycle[:i])) for i, t in enumerate(cycle))
-                del walked[path[cur]:]
-            tail = self._chains.get(cur, ())
-            for t in reversed(walked):
-                tail = self._chains[t] = (t, *tail)
-
     def _set_typings(self, *typings: Iterable[tuple[str, TypeTerm]] | Mapping[str, TypeTerm]) -> None:
         # var_types, then star_types; the first typing of a name wins.
         self._var_types: dict[str, TypeTerm] = {}
@@ -227,7 +208,7 @@ class Context:
 
     def sort_leq(self, s1: Sort, s2: Sort) -> bool:
         """Reflexive-transitive closure of the declared subsort edges."""
-        return s2 in self._chains.get(s1, (s1,))
+        return s2 in self.supersort_chain(s1)
 
     def subtype_holds(self, a: DecoratedSort, b: DecoratedSort) -> bool:
         """The decorated order: sorts related by the closure and decorations
@@ -235,13 +216,22 @@ class Context:
         return self.sort_leq(a.sort, b.sort) and (a.deco == b.deco or b.deco.is_any)
 
     def supersort_chain(self, s: Sort) -> tuple[Sort, ...]:
-        return self._chains.get(s, (s,))
+        """``s`` and its ancestors: the walk from ``s`` along first-declared
+        parents up to a root, or up to the first sort that repeats, so the
+        queries stay total on a cyclic (ill-formed) context."""
+        chain = {s: None}
+        parents = self._parents.get(s)
+        while parents and parents[0] not in chain:
+            s = parents[0]
+            chain[s] = None
+            parents = self._parents.get(s)
+        return tuple(chain)
 
     def common_supersort(self, a: DecoratedSort, b: DecoratedSort) -> DecoratedSort | None:
         """The least sort above both, don't-care decorated; ``None`` when the
         hierarchies are disjoint.  Least is unique under single inheritance."""
-        above_b = set(self._chains.get(b.sort, (b.sort,)))
-        for s in self._chains.get(a.sort, (a.sort,)):
+        above_b = set(self.supersort_chain(b.sort))
+        for s in self.supersort_chain(a.sort):
             if s in above_b:
                 return DecoratedSort(s)
         return None
@@ -273,8 +263,8 @@ class Context:
         var_types: Iterable[tuple[str, TypeTerm]] | Mapping[str, TypeTerm] = (),
         star_types: Iterable[tuple[str, TypeTerm]] | Mapping[str, TypeTerm] = (),
     ) -> "Context":
-        """The same sorts, subsort declarations, ranks and supersort chains
-        with other variable and star-variable typings."""
+        """The same sorts, subsort declarations and ranks with other
+        variable and star-variable typings."""
         ctx = copy.copy(self)
         ctx._construction_violations = []  # the ranks' were reported for self
         ctx._set_typings(var_types, star_types)

@@ -361,12 +361,6 @@ class ConstraintSet:
     def __init__(self, items: Iterable[Constraint] = ()):
         object.__setattr__(self, "_items", tuple(dict.fromkeys(items)))
 
-    def union(self, *others: Iterable[Constraint]) -> "ConstraintSet":
-        merged: list[Constraint] = list(self._items)
-        for other in others:
-            merged.extend(other)
-        return ConstraintSet(merged)
-
     def __iter__(self) -> Iterator[Constraint]:
         return iter(self._items)
 
@@ -535,9 +529,8 @@ Record = tuple[str, Union[Subject, tuple[ListApp, int]], Union[TypeTerm, Decorat
 class Derived:
     """A verdict that keeps its walk's post-order records and builds the
     derivation tree from them with a stack on first read.  The tree fixes the
-    other fields, and the records and the tree fix each other, so verdicts of
-    one class are equal when their records are: ``==`` and the hash read the
-    records, each with its own constraints as a set, and build no tree."""
+    other fields; verdicts compare by identity, so compare two verdicts'
+    ``derivation`` to tell whether they agree."""
 
     def __init__(self, records: Sequence[Record]):
         self._records = records
@@ -552,13 +545,3 @@ class Derived:
             stack.append(Derivation(rule, subject, GroundType(type_) if isinstance(type_, DecoratedSort)
                                     else type_, premises, None if own is None else ConstraintSet(own)))
         return stack.pop()
-
-    def _key(self) -> tuple[tuple, ...]:
-        return tuple((rule, subject, type_, arity, None if own is None else frozenset(own))
-                     for rule, subject, type_, arity, own in self._records)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())

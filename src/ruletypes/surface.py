@@ -300,7 +300,9 @@ def parse(source: str) -> SourceFile:
                 decls.append(_parse_rule(cur, pos))
             except RecursionError:
                 # Terms are parsed recursively, one call per nesting level.
-                raise ParseError("term nests too deeply to parse", cur.pos(cur.i)) from None
+                # Where the stack ran out depends on the interpreter and the
+                # caller's depth, so the error points at the rule itself.
+                raise ParseError("term nests too deeply to parse", pos) from None
         else:
             raise ParseError(f"unknown declaration {head!r}", pos)
         cur.done()

@@ -1,6 +1,6 @@
 """Shared test helpers: the running-example contexts, the printed constraint
 listing used by the resolution example, a brute-force decorated-subtype
-predicate independent of the library's closure cache, and a consistent-
+predicate independent of the library's parent walk, and a consistent-
 renaming matcher for comparing constraint-set families."""
 
 from __future__ import annotations
@@ -201,3 +201,13 @@ def wide_rule(width: int, element: str | None = None, at: int | None = None) -> 
     if element is not None:
         elems[width // 2 if at is None else at] = element
     return LIST_SIGNATURE + f"rule L({','.join(elems)}) << [?] t -> (t)\n"
+
+
+# ---------------------------------------------------------------------------
+# Long subsort chains
+
+def chain(length: int, closed: bool = False) -> str:
+    """A subsort chain S0 <: S1 <: … declared child first; ``closed`` makes
+    the last sort a subsort of the first."""
+    lines = [f"sort S{i} <: S{i + 1}" for i in range(length - 1)]
+    return "\n".join(lines + [f"sort S{length - 1}" + (" <: S0" if closed else "")]) + "\n"

@@ -198,4 +198,4 @@ def test_emitted_derivations_revalidate_against_the_schemas(gamma_ex):
 def test_checking_is_deterministic(gamma_ex):
     first = check_rule(gamma_ex, support.example_rule())
     second = check_rule(gamma_ex, support.example_rule())
-    assert first == second
+    assert first.derivation == second.derivation

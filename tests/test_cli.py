@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import support
-from ruletypes import cli, solver
+from ruletypes import cli, solver, surface
 from ruletypes.core import RULE_LABELS, Constraint, Derivation, Eq, GroundType, Sub, TypeVar, dsort
 
 
@@ -412,7 +412,20 @@ def test_too_deep_nesting_is_a_parse_error(capsys, tmp_path):
     assert cli.run(["check", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(rf"{re.escape(str(path))}:7:\d+: parse error: [^\n]+\n", captured.err)
+    assert re.fullmatch(rf"{re.escape(str(path))}:7:1: parse error: [^\n]+\n", captured.err)
+
+
+def test_too_deep_nesting_error_does_not_depend_on_the_callers_stack():
+    source = SOURCE.format(pattern=nested(1000), ann="Z")
+
+    def parse_error(depth):
+        if depth:
+            return parse_error(depth - 1)
+        with pytest.raises(surface.ParseError) as err:
+            surface.parse(source)
+        return str(err.value)
+
+    assert parse_error(0) == parse_error(40) == "7:1: term nests too deeply to parse"
 
 
 @pytest.mark.parametrize("command, next_rule", [
@@ -463,21 +476,22 @@ def test_validate_reports_ok_or_the_violations(capsys, tmp_path, example2_path):
         "violations": [{"kind": "subsort-cycle", "detail": "subsort cycle through A <: B <: A"}]}
 
 
-def chain(length: int, closed: bool) -> str:
-    """A subsort chain S0 <: S1 <: … declared child first; ``closed`` makes
-    the last sort a subsort of the first."""
-    lines = [f"sort S{i} <: S{i + 1}" for i in range(length - 1)]
-    return "\n".join(lines + [f"sort S{length - 1}" + (" <: S0" if closed else "")]) + "\n"
-
-
 def test_long_subsort_chain_validates(capsys, tmp_path):
     # The cycle search walks the chain in a loop, not one frame per sort.
     path = tmp_path / "chain.rules"
-    path.write_text(chain(3000, closed=False))
+    path.write_text(support.chain(3000, closed=False))
     assert cli.run(["validate", str(path)]) == 0
     assert capsys.readouterr().out == "ok\n"
 
-    path.write_text(chain(3000, closed=True))
+    # The bottom sort's constant at the top sort: the order is walked from
+    # end to end.
+    path.write_text(support.chain(3000) + "op c : -> S0\nvar x : S2999\nrule c() << [S2999] x -> ()\n")
+    assert cli.run(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "rule 1: well-typed\n"
+    assert cli.run(["solve", str(path)]) == 0
+    assert capsys.readouterr().out == "rule 1: solved σ = {α1 ↦ S0^c, α2 ↦ S2999^?}\n"
+
+    path.write_text(support.chain(3000, closed=True))
     assert cli.run(["validate", "--format", "json", str(path)]) == 3
     violations = json.loads(capsys.readouterr().out)["violations"]
     names = " <: ".join(f"S{i}" for i in range(3000))

@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +11,7 @@ import support
 from support import g
 
 from ruletypes import Context, ListApp, Sort, StarVar, SynApp, SynRank, Var, VariadicRank, dsort, validate
-from ruletypes.core import DecoratedSort
+from ruletypes.core import DecoratedSort, Decoration
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +88,38 @@ def test_supersort_chain_is_the_walk_along_first_parents(edges):
     ctx = Context(sorts=sorts[:6], subsorts=subsorts)
     for s in sorts:
         assert ctx.supersort_chain(s) == walk_first_parents(subsorts, s)
-    typed = ctx.with_typings({"x": g("S0")})  # reuses the chains it was given
-    assert all(typed.supersort_chain(s) is ctx.supersort_chain(s) for s in ctx.sorts)
+    for x, y in itertools.product(sorts, sorts):
+        above_x, above_y = walk_first_parents(subsorts, x), walk_first_parents(subsorts, y)
+        assert ctx.sort_leq(x, y) == (y in above_x)
+        common = next((DecoratedSort(s) for s in above_x if s in above_y), None)
+        assert ctx.common_supersort(DecoratedSort(x, Decoration("f")), DecoratedSort(y)) == common
+    typed = ctx.with_typings({"x": g("S0")})
+    assert all(typed.supersort_chain(s) == ctx.supersort_chain(s) for s in sorts)
+
+
+def test_order_queries_keep_no_table():
+    # A context holds its declarations only, so building and validating one
+    # takes memory linear in the number of sorts.  Measured in a fresh
+    # interpreter: a first build also grows the tables of interned sorts,
+    # whose size depends on what ran before.
+    probe = """if True:
+        import tracemalloc, support
+        from ruletypes import validate
+        from ruletypes.surface import build_context, parse
+        for length in (1000, 3000):
+            sf = parse(support.chain(length))
+            tracemalloc.start()
+            assert validate(build_context(sf)) == []
+            print(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    """
+    tests = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join(map(str, (tests.parent / "src", tests)))
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    small, large = map(int, out.split())
+    assert large < 4 * 2**20
+    assert large < 3.5 * small
 
 
 # ---------------------------------------------------------------------------

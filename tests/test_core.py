@@ -291,5 +291,5 @@ def test_reflexive_equality_always_satisfied(s, t):
 def test_free_vars_distribute_over_union(left, right):
     c_left = [Eq(l, r) for l, r in left]
     c_right = [Sub(l, r) for l, r in right]
-    union = ConstraintSet(c_left).union(c_right)
+    union = ConstraintSet(c_left + c_right)
     assert free_type_vars(union) == free_type_vars(c_left) | free_type_vars(c_right)

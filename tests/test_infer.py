@@ -284,21 +284,7 @@ def test_inference_is_deterministic():
     gamma, rule, _ = inference_context()
     r1 = infer_rule(gamma, rule, FreshSupply(start=4))
     r2 = infer_rule(gamma, rule, FreshSupply(start=4))
-    assert r1 == r2
-
-
-def test_verdicts_deeper_than_the_stack_compare_and_hash():
-    # A 1200-element list's derivation is 1200 levels deep.  ``==`` and the
-    # hash read the post-order records, so they neither recurse per level
-    # nor build the tree.
-    def inferred(last):
-        elems = ",".join(["c()"] * 1199 + [last])
-        return next(_inferred_rules(support.LIST_SIGNATURE + f"rule L({elems}) << [?] t -> (t)\n"))
-
-    first, second = inferred("c()"), inferred("c()")
-    assert first == second and hash(first) == hash(second)
-    assert first != inferred("s(c())")
-    assert "derivation" not in vars(first)
+    assert r1.derivation == r2.derivation
 
 
 def _inferred_rules(source):
