@@ -8,6 +8,10 @@ run, so a diff of two sweeps shows exactly which runs a change touched:
 
     PYTHONPATH=src python3 scripts/cli_sweep.py > sweep.txt
 
+``tests/fixtures/golden/cli_sweep.txt`` is the committed record, which a
+tier-1 test compares with a fresh sweep; a change that alters CLI output on
+purpose regenerates it with the same command.
+
 The runs are every fixture and corpus file under ``tests/fixtures`` ×
 command × text/JSON × with and without ``--trace``; ``--seed`` inputs;
 ``solve --oracle``, also with too small a budget; usage errors; and the

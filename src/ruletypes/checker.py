@@ -63,42 +63,6 @@ def _declared_dsort(ctx: Context, e: Term, path: str, star_ok: bool = False) -> 
                     f"{e} is typed by a type variable; checking needs a ground typing")
 
 
-def _structural(ctx: Context, e: Term, path: str, out: list[Record], star_ok: bool = False) -> DecoratedSort:
-    if isinstance(e, (Var, StarVar)):
-        t = _declared_dsort(ctx, e, path, star_ok)
-        out.append(("T-Var" if isinstance(e, Var) else "T-SVar", e, t, 0, None))
-        return t
-
-    if isinstance(e, SynApp):
-        rank = ctx.syn_rank(e, path)
-        for i, arg in enumerate(e.args):
-            _check(ctx, arg, rank.domain[i], f"{path}.arg[{i}]", out)
-        out.append(("T-Fun", e, rank.codomain, len(e.args), None))
-        return rank.codomain
-
-    if isinstance(e, ListApp):
-        rank = ctx.var_rank(e, path)
-        codomain = rank.codomain
-        steps = list(enumerate(ctx.list_steps(e)))
-        # Every star's declared type is checked before any element, rightmost
-        # first: T-Merge checks its own star before its spine premise.
-        for i, (arg, step) in reversed(steps):
-            if step == STAR:
-                arg_path = f"{path}.arg[{i}]"
-                declared = _declared_dsort(ctx, arg, arg_path, star_ok=True)
-                if declared != codomain:
-                    raise RuleError(ErrKind.EXPECTED_LIST_TYPE, arg_path,
-                                    f"star variable {arg} is typed {declared}, but {e.op} builds {codomain}")
-        out.append(("T-Empty", (e, 0), codomain, 0, None))
-        for i, (arg, step) in steps:
-            expected = rank.elem if step == ELEM else codomain
-            _check(ctx, arg, expected, f"{path}.arg[{i}]", out, star_ok=True)
-            out.append(("T-Elem" if step == ELEM else "T-Merge", (e, i + 1), codomain, 2, None))
-        return codomain
-
-    raise TypeError(f"unexpected term {e!r}")
-
-
 def _coerce(ctx: Context, e: Term, t: DecoratedSort, expected: DecoratedSort, path: str,
             out: list[Record]) -> None:
     if t == expected:
@@ -119,7 +83,36 @@ def _coerce(ctx: Context, e: Term, t: DecoratedSort, expected: DecoratedSort, pa
 
 def _check(ctx: Context, e: Term, expected: DecoratedSort, path: str, out: list[Record],
            star_ok: bool = False) -> None:
-    _coerce(ctx, e, _structural(ctx, e, path, out, star_ok), expected, path, out)
+    # One call per nesting level: the structural type t, then its coercion.
+    if isinstance(e, (Var, StarVar)):
+        t = _declared_dsort(ctx, e, path, star_ok)
+        out.append(("T-Var" if isinstance(e, Var) else "T-SVar", e, t, 0, None))
+    elif isinstance(e, SynApp):
+        rank = ctx.syn_rank(e, path)
+        for i, arg in enumerate(e.args):
+            _check(ctx, arg, rank.domain[i], f"{path}.arg[{i}]", out)
+        t = rank.codomain
+        out.append(("T-Fun", e, t, len(e.args), None))
+    elif isinstance(e, ListApp):
+        rank = ctx.var_rank(e, path)
+        t = rank.codomain
+        steps = list(enumerate(ctx.list_steps(e)))
+        # Every star's declared type is checked before any element, rightmost
+        # first: T-Merge checks its own star before its spine premise.
+        for i, (arg, step) in reversed(steps):
+            if step == STAR:
+                arg_path = f"{path}.arg[{i}]"
+                declared = _declared_dsort(ctx, arg, arg_path, star_ok=True)
+                if declared != t:
+                    raise RuleError(ErrKind.EXPECTED_LIST_TYPE, arg_path,
+                                    f"star variable {arg} is typed {declared}, but {e.op} builds {t}")
+        out.append(("T-Empty", (e, 0), t, 0, None))
+        for i, (arg, step) in steps:
+            _check(ctx, arg, rank.elem if step == ELEM else t, f"{path}.arg[{i}]", out, star_ok=True)
+            out.append(("T-Elem" if step == ELEM else "T-Merge", (e, i + 1), t, 2, None))
+    else:
+        raise TypeError(f"unexpected term {e!r}")
+    _coerce(ctx, e, t, expected, path, out)
 
 
 def _check_cond(ctx: Context, c: Cond, path: str, out: list[Record]) -> None:

@@ -272,13 +272,14 @@ def _arg_parser() -> argparse.ArgumentParser:
         ("validate", "report signature well-formedness violations"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", nargs="?", help="input file; omit with --seed")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("file", nargs="?", help="input file; omit with --seed")
         if name != "validate":
             p.add_argument("--trace", action="store_true",
                            help="print derivation trees and solver steps")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--seed", type=int, default=None,
-                       help="run on generated corpus instance N instead of a file")
+        source.add_argument("--seed", type=int, default=None,
+                            help="run on generated corpus instance N instead of a file")
         if name == "solve":
             p.add_argument("--oracle", action="store_true",
                            help="cross-check the outcome against brute-force enumeration")
@@ -302,16 +303,13 @@ def run(argv: list[str]) -> int:
             problem = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
             print(f"{args.file}: {problem}", file=sys.stderr)
             return 2
-    elif args.seed is not None:
+    else:
         name = f"<seed {args.seed}>"
         from .oracle import gen_instance
         ctx, rule = gen_instance(args.seed)
         source = render_instance(ctx, rule)
         if not as_json:
             out.append(source.rstrip("\n"))
-    else:
-        print("error: provide a file or --seed N", file=sys.stderr)
-        return 2
 
     try:
         sf = parse(source)

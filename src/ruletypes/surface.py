@@ -1,15 +1,14 @@
 """Surface syntax: a line-oriented declaration format for signatures and
-rules, with positioned parse errors, a canonical pretty-printer (the
-round-trip surface the golden tests pin), and resolution of parsed rules
-against a context.
+rules, with positioned parse errors and a canonical pretty-printer (the
+round-trip surface the golden tests pin, and the one printer of the format).
 
 One regular-expression scan turns the whole file into a flat token list,
 lines broken where :meth:`str.splitlines` breaks them; the parser walks it
 with an integer cursor and works out a position only for a declaration head
 or an error.  It yields core values: ranks, ground types, matches and terms.
-It cannot tell a variadic operator from a syntactic one, so every
-application is parsed as a syntactic one; :func:`resolve_rule` reads the
-applications against the context's ranks.
+Before parsing, one pass over the tokens collects the names that a ``vop``
+declaration heads, wherever in the file it stands; an application of such a
+name is parsed as a list application, and any other as a syntactic one.
 
 The format, one declaration per line, ``//`` comments::
 
@@ -24,7 +23,7 @@ The format, one declaration per line, ``//`` comments::
 from __future__ import annotations
 
 import re
-from typing import Iterable, Union
+from typing import Union
 
 from .context import Context, SynRank, VariadicRank
 from .core import (
@@ -94,7 +93,7 @@ class SvarDecl(Value, uncompared=("pos",)):
 
 
 class RuleDecl(Value, uncompared=("pos",)):
-    """A rule as parsed: every application is still a :class:`SynApp`."""
+    """A rule as parsed: its matches, in order, and its actions."""
 
     conds: tuple[Match, ...]
     actions: tuple[Term, ...]
@@ -133,11 +132,14 @@ _TOKEN_RE = re.compile(
 
 class _Cursor:
     """An integer cursor over the scanned tokens; every line ends in a
-    ``"\\n"`` token, and positions count the skipped text and tokens."""
+    ``"\\n"`` token, and positions count the skipped text and tokens.
+    ``lists`` holds the names declared by a ``vop`` line anywhere in the file."""
 
     def __init__(self, gaps: tuple[str, ...], tokens: tuple[str, ...]):
         self.gaps = gaps
         self.tokens = tokens
+        self.lists = {name for before, tok, name in zip(("\n",) + tokens, tokens, tokens[1:])
+                      if tok == "vop" and before == "\n"}
         self.i = 0
         self.line = 1
         self.start = 0  # index of the line's first token
@@ -212,7 +214,7 @@ def _parse_term(cur: _Cursor, star_ok: bool) -> Term:
                 cur.take()
                 args.append(_parse_term(cur, star_ok=True))
         cur.take(")")
-        return SynApp(name, tuple(args))
+        return (ListApp if name in cur.lists else SynApp)(name, tuple(args))
     return Var(name)
 
 
@@ -334,7 +336,7 @@ def pretty(sf: SourceFile) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Building contexts and resolving rules
+# Building contexts and rules
 
 def build_context(sf: SourceFile) -> Context:
     """Assemble the declared signature and ground typings into a context;
@@ -349,41 +351,28 @@ def build_context(sf: SourceFile) -> Context:
     return Context(sorts, edges, ranks, var_types, star_types)
 
 
-def resolve_term(t: Term, ctx: Context) -> Term:
-    """Read the parsed applications against the context's rank tables: one
-    whose operator has a variadic rank becomes a list application; any other
-    stays syntactic, so the checker reports an operator with no rank."""
-    if not isinstance(t, SynApp):
-        return t
-    args = tuple(resolve_term(a, ctx) for a in t.args)
-    if t.op in ctx.var_ranks:
-        return ListApp(t.op, args)
-    return SynApp(t.op, args)
-
-
 def resolve_rule(decl: RuleDecl, ctx: Context) -> Rule:
-    conds: list[Cond] = [Match(resolve_term(m.pattern, ctx), resolve_term(m.subject, ctx), m.at)
-                         for m in decl.conds]
-    cond: Cond = conds[0] if len(conds) == 1 else Conj(tuple(conds))
-    return Rule(cond, tuple(resolve_term(a, ctx) for a in decl.actions))
+    """The rule a parsed declaration states: its matches, conjoined if there
+    are several, and its actions.  ``ctx`` is not read: the parser has already
+    told list applications from syntactic ones by the file's ``vop`` lines.
+    On a file that declares one name both ``op`` and ``vop``, which
+    :func:`ruletypes.context.validate` reports as overloading, the parser reads
+    the name's applications as lists while the context keeps the first
+    declaration."""
+    cond: Cond = decl.conds[0] if len(decl.conds) == 1 else Conj(decl.conds)
+    return Rule(cond, decl.actions)
 
 
-def render_instance(ctx: Context, rules: Rule | Iterable[Rule]) -> str:
-    """Serialize a context and rule(s) back to the file format; used for the
-    generated corpus fixtures."""
-    parents = {child: parent for child, parent in ctx.subsort_decls}
-    lines = []
-    for s in ctx.sorts:
-        parent = parents.get(s)
-        lines.append(f"sort {s}" + (f" <: {parent}" if parent else ""))
-    for rank in ctx.syn_ranks.values():
-        lines.append(f"op {rank}")
-    for rank in ctx.var_ranks.values():
-        lines.append(f"vop {rank}")
-    for name, tt in ctx.var_types.items():
-        lines.append(f"var {name} : {tt}")
-    for name, tt in ctx.star_types.items():
-        lines.append(f"svar {name}* : {tt}")
-    for rule in ([rules] if isinstance(rules, Rule) else rules):
-        lines.append(f"rule {rule}")
-    return "\n".join(lines) + "\n"
+def render_instance(ctx: Context, rule: Rule) -> str:
+    """A context and one rule in the file format, printed by :func:`pretty`:
+    the sorts, operators, variadic operators, variable and star typings in the
+    context's order, then the rule; used for the generated corpus fixtures."""
+    parents = {child: str(parent) for child, parent in ctx.subsort_decls}
+    conds = rule.cond.conds if isinstance(rule.cond, Conj) else (rule.cond,)
+    return pretty(SourceFile((
+        *(SortDecl(str(s), parents.get(s)) for s in ctx.sorts),
+        *map(OpDecl, ctx.syn_ranks.values()),
+        *map(VopDecl, ctx.var_ranks.values()),
+        *(VarDecl(name, tt) for name, tt in ctx.var_types.items()),
+        *(SvarDecl(name, tt) for name, tt in ctx.star_types.items()),
+        RuleDecl(conds, rule.actions))))

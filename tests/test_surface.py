@@ -2,7 +2,7 @@ import pytest
 
 import support
 
-from ruletypes import ListApp, Match, Rule, StarVar, SynApp, Var, dsort, validate
+from ruletypes import ListApp, Match, Rule, StarVar, SynApp, Var, WellTyped, check_rule, cli, dsort, validate
 from ruletypes.core import GroundType
 from ruletypes.oracle import gen_instance
 from ruletypes.surface import (
@@ -115,15 +115,42 @@ def test_annotation_forms():
 
 
 def test_application_resolution_against_ranks(example2_path):
-    sf = parse(example2_path.read_text())
+    (match,) = parse(example2_path.read_text()).rules[0].conds
+    assert isinstance(match.pattern, ListApp)
+    assert isinstance(match.subject.args[0], SynApp)
+    # unknown heads parse syntactically so the checker reports them
+    (mystery,) = parse("sort Z\nrule g(x) << [Z] x -> ()\n").rules[0].conds
+    assert isinstance(mystery.pattern, SynApp)
+
+
+def test_list_operator_declared_after_its_rule():
+    sf = parse("sort Z\nvar x : Z\nrule l(x) << [Z] l() -> ()\nvop l : Z* -> Z\n")
+    (match,) = sf.rules[0].conds
+    assert match == Match(ListApp("l", (Var("x"),)), ListApp("l"), GroundType(dsort("Z")))
     ctx = build_context(sf)
-    rule = resolve_rule(sf.rules[0], ctx)
-    assert isinstance(rule.cond.pattern, ListApp)
-    assert isinstance(rule.cond.subject.args[0], SynApp)
-    # unknown heads resolve syntactically so the checker reports them
-    mystery = parse("sort Z\nrule g(x) << [Z] x -> ()\n")
-    mystery_rule = resolve_rule(mystery.rules[0], build_context(mystery))
-    assert isinstance(mystery_rule.cond.pattern, SynApp)
+    assert validate(ctx) == []
+    assert isinstance(check_rule(ctx, resolve_rule(sf.rules[0], ctx)), WellTyped)
+
+
+def test_names_spelled_vop_are_not_list_operators():
+    # Only a line headed by `vop` declares a list operator.
+    sf = parse("sort vop\nop vop : vop -> vop\nvar vop : vop\nvop l : vop* -> vop\n"
+               "rule l(vop(vop)) << [vop] vop(vop) -> (vop)\n")
+    (match,) = sf.rules[0].conds
+    assert match.pattern == ListApp("l", (SynApp("vop", (Var("vop"),)),))
+    assert match.subject == SynApp("vop", (Var("vop"),))
+    ctx = build_context(sf)
+    assert validate(ctx) == []
+    assert isinstance(check_rule(ctx, resolve_rule(sf.rules[0], ctx)), WellTyped)
+
+
+def test_operator_declared_both_ways_is_overloading(capsys, tmp_path):
+    # The parser reads l(...) as a list, the context keeps `op l`; the file
+    # is rejected before any rule runs.
+    path = tmp_path / "both.rules"
+    path.write_text("sort Z\nop l : Z -> Z\nvop l : Z* -> Z\nvar x : Z\nrule l(x) << [Z] x -> ()\n")
+    assert cli.run(["check", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"{path}: overloading: operator l declared more than once\n")
 
 
 def test_fresh_markers_are_tracked():
