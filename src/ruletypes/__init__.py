@@ -15,7 +15,6 @@ from .core import (
     Decoration,
     Derivation,
     Eq,
-    GroundType,
     ListApp,
     Match,
     Rule,

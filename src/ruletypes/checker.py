@@ -21,7 +21,6 @@ from .core import (
     Conj,
     DecoratedSort,
     Derived,
-    GroundType,
     ListApp,
     Match,
     Record,
@@ -57,8 +56,8 @@ CheckOutcome = Union[WellTyped, CheckErr]
 
 def _declared_dsort(ctx: Context, e: Term, path: str, star_ok: bool = False) -> DecoratedSort:
     tt = ctx.declared_typing(e, path, star_ok)
-    if isinstance(tt, GroundType):
-        return tt.dsort
+    if isinstance(tt, DecoratedSort):
+        return tt
     raise RuleError(ErrKind.UNDECLARED_VARIABLE, path,
                     f"{e} is typed by a type variable; checking needs a ground typing")
 
@@ -117,11 +116,10 @@ def _check(ctx: Context, e: Term, expected: DecoratedSort, path: str, out: list[
 
 def _check_cond(ctx: Context, c: Cond, path: str, out: list[Record]) -> None:
     if isinstance(c, Match):
-        if not isinstance(c.at, GroundType):
+        if not isinstance(c.at, DecoratedSort):
             raise ValueError(f"checking needs a ground match annotation at {path}, got {c.at}")
-        at = c.at.dsort
-        _check(ctx, c.pattern, at, f"{path}.pattern", out)
-        _check(ctx, c.subject, at, f"{path}.subject", out)
+        _check(ctx, c.pattern, c.at, f"{path}.pattern", out)
+        _check(ctx, c.subject, c.at, f"{path}.subject", out)
         out.append(("T-Match", c, WT, 2, None))
     elif isinstance(c, Conj):
         for i, member in enumerate(c.conds):

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Mapping, Union
 from .core import (
     DecoratedSort,
     Decoration,
-    GroundType,
     ListApp,
     Sort,
     StarVar,
@@ -161,9 +160,7 @@ class Context:
         # means the list should have length <= 1 (validate reports otherwise).
         self._parents: dict[Sort, list[Sort]] = {s: [] for s in self._sorts}
         for child, parent in self._subsorts:
-            self._parents.setdefault(child, [])
-            if parent not in self._parents[child]:
-                self._parents[child].append(parent)
+            self._parents.setdefault(child, []).append(parent)
 
     def _set_typings(self, *typings: Iterable[tuple[str, TypeTerm]] | Mapping[str, TypeTerm]) -> None:
         # var_types, then star_types; the first typing of a name wins.
@@ -240,7 +237,7 @@ class Context:
         """The declared decorated sort of a term, or ``None`` when the term
         has no ground typing (undeclared, or typed by a type variable)."""
         tt = self.raw_typing(e)
-        return tt.dsort if isinstance(tt, GroundType) else None
+        return tt if isinstance(tt, DecoratedSort) else None
 
     def raw_typing(self, e: Term) -> TypeTerm | None:
         """The declared type term of a term's head: the full typing for
@@ -252,10 +249,10 @@ class Context:
             return self._star_types.get(e.name)
         if isinstance(e, SynApp):
             rank = self._syn_ranks.get(e.op)
-            return GroundType(rank.codomain) if rank else None
+            return rank.codomain if rank else None
         if isinstance(e, ListApp):
             rank = self._var_ranks.get(e.op)
-            return GroundType(rank.codomain) if rank else None
+            return rank.codomain if rank else None
         return None
 
     def with_typings(
@@ -378,15 +375,14 @@ def validate(ctx: Context) -> list[Violation]:
                 )
 
     for name, tt in ctx.var_types.items():
-        if isinstance(tt, GroundType) and tt.dsort.sort not in declared:
+        if isinstance(tt, DecoratedSort) and tt.sort not in declared:
             violations.append(
-                Violation("unknown-sort", f"variable {name} typed at undeclared sort {tt.dsort.sort}")
+                Violation("unknown-sort", f"variable {name} typed at undeclared sort {tt.sort}")
             )
 
-    for name, tt in ctx.star_types.items():
-        if not isinstance(tt, GroundType):
+    for name, ds in ctx.star_types.items():
+        if not isinstance(ds, DecoratedSort):
             continue
-        ds = tt.dsort
         if ds.sort not in declared:
             violations.append(
                 Violation("unknown-sort", f"star variable {name}* typed at undeclared sort {ds.sort}")

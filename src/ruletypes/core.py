@@ -6,10 +6,10 @@ Every value class of the package derives from :class:`Value`, which writes
 each class's constructor, ``==`` and hash once, when the class is made, from
 the fields its body annotates.  Values are immutable after construction and
 safe to share across threads (a verdict's derivation tree is built on first
-read).  Sorts, decorations, decorated sorts, type variables and ground types
-are hash-consed (:class:`Interned`, a :class:`Value`), in per-class tables
-bounded by the names declared and the largest type-variable id.  Constraints
-hash once, when made.
+read).  Sorts, decorations, decorated sorts and type variables are
+hash-consed (:class:`Interned`, a :class:`Value`), in per-class tables
+bounded by the names declared and the largest type-variable id.  A ground
+type term is its decorated sort.  Constraints hash once, when made.
 """
 
 from __future__ import annotations
@@ -144,8 +144,19 @@ class Decoration(Interned):
 ANY = Decoration()
 
 
-class DecoratedSort(Interned):
-    """A sort paired with a decoration, e.g. ``Z^l`` or ``N^?``."""
+# ---------------------------------------------------------------------------
+# Type terms: decorated sorts (the ground ones), variables, and the
+# well-typed sort
+
+class TypeTerm:
+    """Base class for type terms."""
+
+    __slots__ = ()
+
+
+class DecoratedSort(Interned, TypeTerm):
+    """A sort paired with a decoration, e.g. ``Z^l`` or ``N^?``: a ground
+    type term."""
 
     sort: Sort
     deco: Decoration = ANY
@@ -153,20 +164,16 @@ class DecoratedSort(Interned):
     def _text(self) -> str:
         return f"{self.sort}^{self.deco}"
 
+    @property
+    def dsort(self) -> DecoratedSort:
+        """``self``, for callers written when ground types wrapped it."""
+        return self
+
 
 def dsort(sort_name: str, deco: str | None = None) -> DecoratedSort:
     """Shorthand constructor: ``dsort("Z", "l")`` is ``Z^l``, ``dsort("Z")``
     is ``Z^?``."""
     return DecoratedSort(Sort(sort_name), Decoration(deco))
-
-
-# ---------------------------------------------------------------------------
-# Type terms: variables, ground decorated sorts, and the well-typed sort
-
-class TypeTerm:
-    """Base class for type terms."""
-
-    __slots__ = ()
 
 
 class TypeVar(Interned, TypeTerm):
@@ -176,15 +183,6 @@ class TypeVar(Interned, TypeTerm):
 
     def _text(self) -> str:
         return f"α{self.id}"
-
-
-class GroundType(Interned, TypeTerm):
-    """A ground type term: a decorated sort."""
-
-    dsort: DecoratedSort
-
-    def _text(self) -> str:
-        return str(self.dsort)
 
 
 class WtType(TypeTerm, Value):
@@ -261,7 +259,7 @@ class Cond:
 class Match(Cond, Value):
     """A matching condition ``pattern << [at] subject``.
 
-    ``at`` is a ground decorated sort in checking mode, a type variable in
+    ``at`` is a decorated sort in checking mode, a type variable in
     inference mode, or ``None`` for a surface ``[?]`` annotation that the
     inference engine has not freshened yet.
     """
@@ -451,7 +449,7 @@ class Substitution:
 
 
 def apply_subst(subst: Substitution, t: TypeTerm) -> TypeTerm:
-    """Replace every bound variable in ``t`` by its image; ground type terms
+    """Replace every bound variable in ``t`` by its image; decorated sorts
     and unbound variables are unchanged."""
     if isinstance(t, TypeVar):
         image = subst.get(t.id)
@@ -464,8 +462,8 @@ def subst_satisfies(subst: Substitution, c: Constraint, ctx: "Context") -> bool:
 
     An equality holds when both images are syntactically equal.  A subtype
     constraint holds when the images are syntactically equal (the relation is
-    reflexive on type terms) or when both are ground and the context's
-    decorated-subtype relation holds.
+    reflexive on type terms) or when both are decorated sorts that the
+    context's decorated-subtype relation relates.
     """
     lhs = apply_subst(subst, c.lhs)
     rhs = apply_subst(subst, c.rhs)
@@ -473,8 +471,8 @@ def subst_satisfies(subst: Substitution, c: Constraint, ctx: "Context") -> bool:
         return lhs == rhs
     if lhs == rhs:
         return True
-    if isinstance(lhs, GroundType) and isinstance(rhs, GroundType):
-        return ctx.subtype_holds(lhs.dsort, rhs.dsort)
+    if isinstance(lhs, DecoratedSort) and isinstance(rhs, DecoratedSort):
+        return ctx.subtype_holds(lhs, rhs)
     return False
 
 
@@ -521,9 +519,8 @@ class Derivation(Value):
 
 # One judgment, logged after its premises: rule, subject, type, premise count, own
 # constraints (``None`` when checking).  A list step's subject is ``(application,
-# prefix length)``, and a decorated sort stands for its ground type.
-Record = tuple[str, Union[Subject, tuple[ListApp, int]], Union[TypeTerm, DecoratedSort],
-               int, Union[Sequence[Constraint], None]]
+# prefix length)``.
+Record = tuple[str, Union[Subject, tuple[ListApp, int]], TypeTerm, int, Union[Sequence[Constraint], None]]
 
 
 class Derived:
@@ -542,6 +539,6 @@ class Derived:
             if isinstance(subject, tuple):
                 subject = ListApp(subject[0].op, subject[0].args[:subject[1]])
             premises = [stack.pop() for _ in range(arity)][::-1]
-            stack.append(Derivation(rule, subject, GroundType(type_) if isinstance(type_, DecoratedSort)
-                                    else type_, premises, None if own is None else ConstraintSet(own)))
+            stack.append(Derivation(rule, subject, type_, premises,
+                                    None if own is None else ConstraintSet(own)))
         return stack.pop()

@@ -22,8 +22,8 @@ from .core import (
     Conj,
     ConstraintSet,
     Derived,
+    DecoratedSort,
     Eq,
-    GroundType,
     ListApp,
     Match,
     Record,
@@ -103,13 +103,13 @@ def init_context(signature: Context, rule: Rule, fresh: FreshSupply) -> Context:
     """Build the inference context: the signature's subsort declarations and
     ranks, plus one fresh type variable for every variable or star variable
     occurring in the rule that the signature does not already type with a
-    ground type.  Names are collected left to right, each getting exactly one
+    decorated sort.  Names are collected left to right, each getting exactly one
     variable."""
     var_types = dict(signature.var_types)
     star_types = dict(signature.star_types)
     for is_star, name in _names_in_order(rule):
         table = star_types if is_star else var_types
-        if not isinstance(table.get(name), GroundType):
+        if not isinstance(table.get(name), DecoratedSort):
             table[name] = fresh.fresh()
     return signature.with_typings(var_types, star_types)
 
@@ -125,23 +125,23 @@ def _infer_term(ctx: Context, e: Term, fresh: FreshSupply, path: str, out: list[
     if isinstance(e, SynApp):
         rank = ctx.syn_rank(e, path)
         alpha = pin or fresh.fresh()
-        own = [Eq(alpha, GroundType(rank.codomain))]
+        own = [Eq(alpha, rank.codomain)]
         for i, arg in enumerate(e.args):
             av = _infer_term(ctx, arg, fresh, f"{path}.arg[{i}]", out)
-            own.append(Sub(av, GroundType(rank.domain[i])))
+            own.append(Sub(av, rank.domain[i]))
         out.append(("CT-Fun", e, alpha, len(e.args), own))
         return alpha
 
     if isinstance(e, ListApp):
         rank = ctx.var_rank(e, path)
         alpha = pin or fresh.fresh()
-        out.append(("CT-Empty", (e, 0), alpha, 0, (Eq(alpha, GroundType(rank.codomain)),)))
+        out.append(("CT-Empty", (e, 0), alpha, 0, (Eq(alpha, rank.codomain),)))
         for i, (arg, step) in enumerate(ctx.list_steps(e)):
             # A star or merged list concludes at the spine's own variable, and
             # every step inherits the spine's equality from the empty list.
             av = _infer_term(ctx, arg, fresh, f"{path}.arg[{i}]", out,
                              pin=None if step == ELEM else alpha, star_ok=True)
-            own = (Sub(av, GroundType(rank.elem)),) if step == ELEM else ()
+            own = (Sub(av, rank.elem),) if step == ELEM else ()
             out.append((f"CT-{step}", (e, i + 1), alpha, 2, own))
         return alpha
 

@@ -17,7 +17,6 @@ from .core import (
     DecoratedSort,
     Derivation,
     Eq,
-    GroundType,
     ListApp,
     Match,
     Rule,
@@ -57,8 +56,8 @@ def ground_universe(ctx: Context) -> tuple[DecoratedSort, ...]:
         out.setdefault(rank.codomain)
     for table in (ctx.var_types, ctx.star_types):
         for tt in table.values():
-            if isinstance(tt, GroundType):
-                out.setdefault(tt.dsort)
+            if isinstance(tt, DecoratedSort):
+                out.setdefault(tt)
     return tuple(out)
 
 
@@ -94,7 +93,7 @@ def enumerate_solutions(
                 assignment[var] = value
 
     def value(t: TypeTerm) -> DecoratedSort:
-        return assignment[t.id] if isinstance(t, TypeVar) else t.dsort
+        return assignment[t.id] if isinstance(t, TypeVar) else t
 
     def holds(c: Constraint) -> bool:
         lhs, rhs = value(c.lhs), value(c.rhs)
@@ -124,7 +123,7 @@ def enumerate_solutions(
     def recurse(i: int) -> bool:
         nonlocal examined
         if i == len(todo):
-            solutions.append(Substitution({v: GroundType(assignment[v]) for v in order}))
+            solutions.append(Substitution({v: assignment[v] for v in order}))
             return limit is not None and len(solutions) >= limit
         var = todo[i]
         known = set(assignment) | {var}
@@ -219,8 +218,8 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
         problems.append(f"{node.rule} on {node.subject}: {msg}")
 
     def expect_ground(node: Derivation) -> DecoratedSort | None:
-        if isinstance(node.type, GroundType):
-            return node.type.dsort
+        if isinstance(node.type, DecoratedSort):
+            return node.type
         bad(node, f"expected a ground type, got {node.type}")
         return None
 
@@ -240,13 +239,13 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
             rank = ctx.syn_ranks.get(subject.op) if isinstance(subject, SynApp) else None
             if rank is None:
                 bad(node, "no rank for the operator")
-            elif node.type != GroundType(rank.codomain):
+            elif node.type != rank.codomain:
                 bad(node, f"conclusion should be {rank.codomain}")
             elif len(node.premises) != len(subject.args):
                 bad(node, "premise count differs from argument count")
             else:
                 for i, p in enumerate(node.premises):
-                    if p.subject != subject.args[i] or p.type != GroundType(rank.domain[i]):
+                    if p.subject != subject.args[i] or p.type != rank.domain[i]:
                         bad(node, f"argument premise {i} malformed")
 
         elif rule in ("T-Empty", "T-Elem", "T-Merge"):
@@ -254,7 +253,7 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
             if rank is None:
                 bad(node, "no variadic rank for the operator")
                 return
-            if node.type != GroundType(rank.codomain):
+            if node.type != rank.codomain:
                 bad(node, f"conclusion should be {rank.codomain}")
                 return
             if rule == "T-Empty":
@@ -267,7 +266,7 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
             spine = ListApp(subject.op, subject.args[:-1])
             last = subject.args[-1]
             p_spine, p_last = node.premises
-            if p_spine.subject != spine or p_spine.type != GroundType(rank.codomain):
+            if p_spine.subject != spine or p_spine.type != rank.codomain:
                 bad(node, "leading-sublist premise malformed")
             if p_last.subject != last:
                 bad(node, "last-argument premise subject mismatch")
@@ -276,12 +275,12 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
                     bad(node, "element rule applied to a star variable")
                 if ctx.sortof(last) == rank.codomain:
                     bad(node, "element rule applied where the list rule is required")
-                if p_last.type != GroundType(rank.elem):
+                if p_last.type != rank.elem:
                     bad(node, f"element premise should conclude {rank.elem}")
             else:
                 if ctx.sortof(last) != rank.codomain:
                     bad(node, "merge rule applied where its side condition fails")
-                if p_last.type != GroundType(rank.codomain):
+                if p_last.type != rank.codomain:
                     bad(node, f"merge premise should conclude {rank.codomain}")
 
         elif rule == "Sub":
@@ -292,8 +291,8 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
             premise = node.premises[0]
             if premise.rule == "Sub":
                 bad(node, "consecutive subtype steps (derivation not in normal form)")
-            if conclusion is not None and isinstance(premise.type, GroundType):
-                if not ctx.subtype_holds(premise.type.dsort, conclusion):
+            if conclusion is not None and isinstance(premise.type, DecoratedSort):
+                if not ctx.subtype_holds(premise.type, conclusion):
                     bad(node, f"{premise.type} is not below {conclusion}")
 
         elif rule == "Gen":
@@ -303,16 +302,16 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
             conclusion = expect_ground(node)
             premise = node.premises[0]
             own = ctx.sortof(subject)
-            if conclusion is None or not isinstance(premise.type, GroundType):
+            pt = premise.type
+            if conclusion is None or not isinstance(pt, DecoratedSort):
                 return
-            pt = premise.type.dsort
             if not conclusion.deco.is_any or pt.deco.is_any or pt.sort != conclusion.sort:
                 bad(node, "erasure must drop a real decoration, keeping the sort")
             if own != pt:
                 bad(node, "erasure applies only at the term's own declared type")
 
         elif rule == "T-Match":
-            if not isinstance(subject, Match) or not isinstance(subject.at, GroundType):
+            if not isinstance(subject, Match) or not isinstance(subject.at, DecoratedSort):
                 bad(node, "match node needs a ground annotation")
                 return
             if not isinstance(node.type, WtType) or len(node.premises) != 2:
@@ -339,7 +338,7 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
             for i, action in enumerate(subject.actions):
                 p = node.premises[1 + i]
                 own = ctx.sortof(action)
-                if p.subject != action or own is None or p.type != GroundType(own):
+                if p.subject != action or own is None or p.type != own:
                     bad(node, f"action premise {i} must conclude the term's declared type")
 
         else:
@@ -362,11 +361,9 @@ def instantiate_for_check(ctx: Context, rule: Rule, subst: Substitution) -> tupl
     universe = ground_universe(ctx)
     if not universe:
         raise ValueError("cannot ground an instance over an empty universe")
-    default = GroundType(universe[0])
-
-    def ground(tt: TypeTerm) -> GroundType:
+    def ground(tt: TypeTerm) -> DecoratedSort:
         image = apply_subst(subst, tt)
-        return image if isinstance(image, GroundType) else default
+        return image if isinstance(image, DecoratedSort) else universe[0]
 
     def conv_cond(c: Cond) -> Cond:
         if isinstance(c, Match):
@@ -562,7 +559,7 @@ class _InstanceBuilder:
                 rank = self.base_ctx.var_ranks[subject.op]
                 pattern = self.list_term(rank, p.max_depth)
             ann = rng.choice(self.base_ctx.supersort_chain(natural.sort))
-        return Match(pattern, subject, GroundType(DecoratedSort(ann)))
+        return Match(pattern, subject, DecoratedSort(ann))
 
     # -- unconstrained construction -------------------------------------------
 
@@ -589,7 +586,7 @@ class _InstanceBuilder:
         return Match(
             self.random_term(depth),
             self.random_term(depth),
-            GroundType(DecoratedSort(self.rng.choice(self.sorts))),
+            DecoratedSort(self.rng.choice(self.sorts)),
         )
 
     # -- assembly --------------------------------------------------------------
@@ -610,11 +607,7 @@ class _InstanceBuilder:
                 term, _ = self.natural_app(1)
                 actions.append(term)
 
-        ctx = self.base_ctx.with_typings(
-            var_types={n: GroundType(d) for n, d in self.var_types.items()},
-            star_types={n: GroundType(d) for n, d in self.star_types.items()},
-        )
-        return ctx, Rule(cond, tuple(actions))
+        return self.base_ctx.with_typings(self.var_types, self.star_types), Rule(cond, tuple(actions))
 
 
 def gen_instance(seed: int, params: GenParams = GenParams()) -> tuple[Context, Rule]:
@@ -638,7 +631,7 @@ def gen_constraints(seed: int, max_vars: int = 5, max_constraints: int = 8) -> t
     def side() -> TypeTerm:
         if rng.random() < 0.55:
             return TypeVar(rng.randint(1, n_vars))
-        return GroundType(rng.choice(universe))
+        return rng.choice(universe)
 
     out: list[Constraint] = []
     for _ in range(rng.randint(1, max_constraints)):

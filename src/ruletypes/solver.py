@@ -39,7 +39,7 @@ from heapq import heappop, heappush
 from typing import Iterable, Union
 
 from .context import Context
-from .core import Constraint, ConstraintSet, DecoratedSort, Eq, GroundType, Sub, Substitution, TypeTerm, TypeVar, Value
+from .core import Constraint, ConstraintSet, DecoratedSort, Eq, Sub, Substitution, TypeTerm, TypeVar, Value
 
 
 class TraceStep(Value):
@@ -106,11 +106,11 @@ def _homes(kind: int, l: int, r: int) -> tuple[tuple[int, int], ...]:
     return ((2, l), (3, r)) if kind == _CHAIN else ((0, r),) if kind == _LOWER else ((1, l),)
 
 
-def _term(grounds: list[GroundType], code: int) -> TypeTerm:
+def _term(grounds: list[DecoratedSort], code: int) -> TypeTerm:
     return grounds[code >> 1] if code & 1 else TypeVar(code >> 1)
 
 
-def _constraint(grounds: list[GroundType], cache: dict[int, Constraint], key: int) -> Constraint:
+def _constraint(grounds: list[DecoratedSort], cache: dict[int, Constraint], key: int) -> Constraint:
     c = cache.get(key)
     if c is None:
         c = cache[key] = (Sub if key & 1 else Eq)(_term(grounds, key >> 41), _term(grounds, key >> 1 & _SIDE))
@@ -141,8 +141,8 @@ class _State:
                 cache[key] = c
                 self._place(len(where), key)
 
-    def code(self, ground: GroundType) -> int:
-        c = self.codes.get(id(ground))  # ground types are interned
+    def code(self, ground: DecoratedSort) -> int:
+        c = self.codes.get(id(ground))  # decorated sorts are interned
         if c is None:
             c = self.codes[id(ground)] = len(self.grounds) << 1 | 1
             self.grounds.append(ground)
@@ -150,12 +150,12 @@ class _State:
 
     def holds(self, a: int, b: int) -> bool:
         if (key := a << 41 | b << 1) not in self.memo:
-            self.memo[key] = self.ctx.subtype_holds(self.grounds[a >> 1].dsort, self.grounds[b >> 1].dsort)
+            self.memo[key] = self.ctx.subtype_holds(self.grounds[a >> 1], self.grounds[b >> 1])
         return self.memo[key]
 
     def common(self, a: int, b: int) -> DecoratedSort | None:
         if (key := a << 41 | b << 1 | 1) not in self.memo:
-            self.memo[key] = self.ctx.common_supersort(self.grounds[a >> 1].dsort, self.grounds[b >> 1].dsort)
+            self.memo[key] = self.ctx.common_supersort(self.grounds[a >> 1], self.grounds[b >> 1])
         return self.memo[key]
 
     def _place(self, s: int, key: int) -> None:
@@ -295,7 +295,7 @@ class _State:
         elif rule == 5 or rule == 14:
             var, image = R[ci], L[ci]
         elif rule == 6:
-            made = (self.code(GroundType(self.common(L[ci], L[cj]))) << 40 | R[ci]) << 1 | 1
+            made = (self.code(self.common(L[ci], L[cj])) << 40 | R[ci]) << 1 | 1
         elif rule == 7:
             label, made = ("7a", keys[ci]) if self.holds(R[ci], R[cj]) else ("7b", keys[cj])
         elif rule == 8:

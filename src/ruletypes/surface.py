@@ -31,7 +31,6 @@ from .core import (
     Conj,
     DecoratedSort,
     Decoration,
-    GroundType,
     ListApp,
     Match,
     Rule,
@@ -82,13 +81,13 @@ class VopDecl(Value, uncompared=("pos",)):
 
 class VarDecl(Value, uncompared=("pos",)):
     name: str
-    ann: GroundType | None
+    ann: DecoratedSort | None
     pos: Pos = Pos(0, 0)
 
 
 class SvarDecl(Value, uncompared=("pos",)):
     name: str
-    ann: GroundType | None
+    ann: DecoratedSort | None
     pos: Pos = Pos(0, 0)
 
 
@@ -181,7 +180,7 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 # Parser
 
-def _parse_type_ann(cur: _Cursor) -> GroundType | None:
+def _parse_type_ann(cur: _Cursor) -> DecoratedSort | None:
     if cur.peek() == "?":
         cur.take()
         return None
@@ -193,7 +192,7 @@ def _parse_type_ann(cur: _Cursor) -> GroundType | None:
             cur.take()
         else:
             deco = cur.take_ident("a decoration")
-    return GroundType(DecoratedSort(Sort(sort), Decoration(deco)))
+    return DecoratedSort(Sort(sort), Decoration(deco))
 
 
 def _parse_term(cur: _Cursor, star_ok: bool) -> Term:
@@ -365,12 +364,13 @@ def resolve_rule(decl: RuleDecl, ctx: Context) -> Rule:
 
 def render_instance(ctx: Context, rule: Rule) -> str:
     """A context and one rule in the file format, printed by :func:`pretty`:
-    the sorts, operators, variadic operators, variable and star typings in the
+    a ``sort`` line per declared edge (none for an undeclared child) or bare,
+    then operators, variadic operators, variable and star typings, all in the
     context's order, then the rule; used for the generated corpus fixtures."""
-    parents = {child: str(parent) for child, parent in ctx.subsort_decls}
     conds = rule.cond.conds if isinstance(rule.cond, Conj) else (rule.cond,)
     return pretty(SourceFile((
-        *(SortDecl(str(s), parents.get(s)) for s in ctx.sorts),
+        *(SortDecl(str(s), parent) for s in ctx.sorts
+          for parent in [str(p) for c, p in ctx.subsort_decls if c == s] or [None]),
         *map(OpDecl, ctx.syn_ranks.values()),
         *map(VopDecl, ctx.var_ranks.values()),
         *(VarDecl(name, tt) for name, tt in ctx.var_types.items()),

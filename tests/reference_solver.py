@@ -15,8 +15,8 @@ from ruletypes.context import Context
 from ruletypes.core import (
     Constraint,
     ConstraintSet,
+    DecoratedSort,
     Eq,
-    GroundType,
     Sub,
     Substitution,
     TypeTerm,
@@ -28,7 +28,7 @@ from ruletypes.solver import Failed, Solved, SolveOutcome, Stuck, TraceStep, deg
 
 
 def _ground(t: TypeTerm) -> bool:
-    return isinstance(t, GroundType)
+    return isinstance(t, DecoratedSort)
 
 
 def _var(t: TypeTerm) -> bool:
@@ -48,7 +48,7 @@ def detect_failure(ctx: Context, constraints: Iterable[Constraint]) -> tuple[int
             for cj in subs:
                 if cj is ci or not (_var(cj.lhs) and _ground(cj.rhs)):
                     continue
-                if cj.lhs == ci.rhs and not ctx.subtype_holds(ci.lhs.dsort, cj.rhs.dsort):
+                if cj.lhs == ci.rhs and not ctx.subtype_holds(ci.lhs, cj.rhs):
                     return 1, (ci, cj)
 
     # (2) two ground lower bounds with no common supersort.
@@ -57,7 +57,7 @@ def detect_failure(ctx: Context, constraints: Iterable[Constraint]) -> tuple[int
             for cj in subs[i + 1:]:
                 if not (_ground(cj.lhs) and _var(cj.rhs)) or cj.rhs != ci.rhs:
                     continue
-                if ctx.common_supersort(ci.lhs.dsort, cj.lhs.dsort) is None:
+                if ctx.common_supersort(ci.lhs, cj.lhs) is None:
                     return 2, (ci, cj)
 
     # (3) two ground upper bounds neither of which is below the other.
@@ -66,13 +66,13 @@ def detect_failure(ctx: Context, constraints: Iterable[Constraint]) -> tuple[int
             for cj in subs[i + 1:]:
                 if not (_var(cj.lhs) and _ground(cj.rhs)) or cj.lhs != ci.lhs:
                     continue
-                a, b = ci.rhs.dsort, cj.rhs.dsort
+                a, b = ci.rhs, cj.rhs
                 if not ctx.subtype_holds(a, b) and not ctx.subtype_holds(b, a):
                     return 3, (ci, cj)
 
     # (4) a ground subtype constraint outside the closure.
     for c in subs:
-        if _ground(c.lhs) and _ground(c.rhs) and not ctx.subtype_holds(c.lhs.dsort, c.rhs.dsort):
+        if _ground(c.lhs) and _ground(c.rhs) and not ctx.subtype_holds(c.lhs, c.rhs):
             return 4, (c,)
 
     # (5) a ground equality with different sorts or decorations.
@@ -107,7 +107,7 @@ def _find_step(ctx: Context, items: list[Constraint]) -> _Step | None:
     # (3) drop a ground subtype constraint the closure already answers.
     for i, c in enumerate(items):
         if isinstance(c, Sub) and _ground(c.lhs) and _ground(c.rhs) \
-                and ctx.subtype_holds(c.lhs.dsort, c.rhs.dsort):
+                and ctx.subtype_holds(c.lhs, c.rhs):
             return _Step("3", (i,), (), None)
 
     # (4)/(5) turn an equality on a variable into a binding.
@@ -126,9 +126,9 @@ def _find_step(ctx: Context, items: list[Constraint]) -> _Step | None:
         for j in range(i + 1, n):
             cj = items[j]
             if isinstance(cj, Sub) and _ground(cj.lhs) and _var(cj.rhs) and cj.rhs == ci.rhs:
-                common = ctx.common_supersort(ci.lhs.dsort, cj.lhs.dsort)
+                common = ctx.common_supersort(ci.lhs, cj.lhs)
                 if common is not None:
-                    return _Step("6", (i, j), (Sub(GroundType(common), ci.rhs),), None)
+                    return _Step("6", (i, j), (Sub(common, ci.rhs),), None)
 
     # (7a)/(7b) keep the smaller of two comparable ground upper bounds.
     for i in range(n):
@@ -139,9 +139,9 @@ def _find_step(ctx: Context, items: list[Constraint]) -> _Step | None:
             cj = items[j]
             if not (isinstance(cj, Sub) and _var(cj.lhs) and _ground(cj.rhs) and cj.lhs == ci.lhs):
                 continue
-            if ctx.subtype_holds(ci.rhs.dsort, cj.rhs.dsort):
+            if ctx.subtype_holds(ci.rhs, cj.rhs):
                 return _Step("7a", (i, j), (ci,), None)
-            if ctx.subtype_holds(cj.rhs.dsort, ci.rhs.dsort):
+            if ctx.subtype_holds(cj.rhs, ci.rhs):
                 return _Step("7b", (i, j), (cj,), None)
 
     # (8) an antisymmetric pair collapses to an equality.
@@ -198,7 +198,7 @@ def _find_step(ctx: Context, items: list[Constraint]) -> _Step | None:
             cj = items[j]
             if j == i or not (isinstance(cj, Sub) and cj.lhs == mid and _ground(cj.rhs)):
                 continue
-            if ctx.subtype_holds(ci.lhs.dsort, cj.rhs.dsort):
+            if ctx.subtype_holds(ci.lhs, cj.rhs):
                 return _Step("12", (i, j), (Sub(ci.lhs, cj.rhs),), (mid.id, cj.rhs))
 
     # (13)/(14) apply only when nothing above does: a variable with a single

@@ -11,8 +11,8 @@ from ruletypes import (
     Constraint,
     ConstraintSet,
     Context,
+    DecoratedSort,
     Eq,
-    GroundType,
     ListApp,
     Match,
     Rule,
@@ -33,8 +33,8 @@ def a(n: int) -> TypeVar:
     return TypeVar(n)
 
 
-def g(sort: str, deco: str | None = None) -> GroundType:
-    return GroundType(dsort(sort, deco))
+def g(sort: str, deco: str | None = None) -> DecoratedSort:
+    return dsort(sort, deco)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def _profile(var: int, sets: list[list[Constraint]]) -> tuple:
         for c in constraints:
             for side, other in (("lhs", c.rhs), ("rhs", c.lhs)):
                 if isinstance(getattr(c, side), TypeVar) and getattr(c, side).id == var:
-                    shape = str(other) if isinstance(other, GroundType) else "<var>"
+                    shape = str(other) if isinstance(other, DecoratedSort) else "<var>"
                     rows.append((idx, type(c).__name__, side, shape))
     return tuple(sorted(rows))
 

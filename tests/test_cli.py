@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 import support
 from ruletypes import cli, solver, surface
-from ruletypes.core import RULE_LABELS, Constraint, Derivation, Eq, GroundType, Sub, TypeVar, dsort
+from ruletypes.core import RULE_LABELS, Constraint, Derivation, Eq, Sub, TypeVar, dsort
 
 
 @pytest.mark.parametrize("argv, source, golden", [
@@ -375,7 +375,7 @@ def test_json_writer_matches_json_dumps(value):
 
 
 type_terms = st.integers(1, 12).map(TypeVar) | st.builds(
-    lambda name, deco: GroundType(dsort(name, deco)),
+    dsort,
     st.text(st.sampled_from('Zb"\\\nα'), min_size=1, max_size=3), st.none() | st.sampled_from(["l", "\""]))
 constraints = st.builds(Eq, type_terms, type_terms) | st.builds(Sub, type_terms, type_terms)
 reports = st.recursive(

@@ -15,7 +15,9 @@ from ruletypes import (
     Sub,
     Substitution,
     WT,
+    WellTyped,
     apply_subst,
+    check_rule,
     dsort,
     free_type_vars,
     subst_satisfies,
@@ -25,7 +27,6 @@ from ruletypes.core import (
     Conj,
     DecoratedSort,
     Decoration,
-    GroundType,
     ListApp,
     Match,
     Sort,
@@ -36,7 +37,7 @@ from ruletypes.core import (
 )
 from ruletypes.oracle import GenParams
 from ruletypes.solver import TraceStep
-from ruletypes.surface import Pos, SortDecl, VarDecl
+from ruletypes.surface import Pos, SortDecl, VarDecl, parse
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +166,27 @@ def test_equal_type_terms_are_one_object():
     assert TypeVar(3) is TypeVar(3)
     assert dsort("Z", "l") is DecoratedSort(Sort("Z"), Decoration("l"))
     assert dsort("Z") is DecoratedSort(Sort("Z")) is DecoratedSort(Sort("Z"), Decoration(None))
-    assert g("Z", "l") is GroundType(dsort("Z", "l")) and g("Z") is not g("Z", "l")
+    assert g("Z") is not g("Z", "l")
     for value in (Sort("Z"), Decoration(), dsort("Z", "l"), a(2), g("Z", "l")):
         assert copy.copy(value) is copy.deepcopy(value) is pickle.loads(pickle.dumps(value)) is value
 
 
+def test_ground_type_terms_are_decorated_sorts(gamma_ex):
+    # A ground type term is the decorated sort itself, wherever it is made:
+    # a parsed annotation, a rank's codomain read as a typing, a derivation.
+    (match,) = parse("sort Z\nvar x : Z\nrule x << [Z] x -> ()\n").rules[0].conds
+    assert match.at is dsort("Z")
+    one, lists = gamma_ex.syn_ranks["one"], gamma_ex.var_ranks["l"]
+    assert gamma_ex.raw_typing(SynApp("one")) is one.codomain
+    verdict = check_rule(gamma_ex, support.example_rule())
+    assert isinstance(verdict, WellTyped)
+    nodes = {node.rule: node.type for node in verdict.derivation.walk()}
+    assert nodes["T-Fun"] is one.codomain
+    assert nodes["T-Empty"] is nodes["T-Elem"] is nodes["T-Merge"] is lists.codomain
+
+
 def test_equal_constraints_compare_and_hash_alike():
-    s1, s2 = Sub(a(1), g("Z", "l")), Sub(TypeVar(1), GroundType(dsort("Z", "l")))
+    s1, s2 = Sub(a(1), g("Z", "l")), Sub(TypeVar(1), DecoratedSort(Sort("Z"), Decoration("l")))
     assert s1 is not s2 and s1 == s2 and hash(s1) == hash(s2)
     assert Eq(a(1), a(2)) != Sub(a(1), a(2))
     assert Sub(a(1), a(2)) != Sub(a(2), a(1))
@@ -181,7 +196,7 @@ def test_equal_constraints_compare_and_hash_alike():
 
 @pytest.mark.parametrize("value, name", [
     (Sort("Z"), "name"), (Decoration("l"), "symbol"), (dsort("Z"), "deco"), (a(1), "id"),
-    (g("Z"), "dsort"), (Eq(a(1), a(2)), "lhs"), (Sub(a(1), g("Z")), "rhs"),
+    (g("Z", "l"), "sort"), (Eq(a(1), a(2)), "lhs"), (Sub(a(1), g("Z")), "rhs"),
     (Var("x"), "name"), (SynApp("f"), "args"), (Pos(1, 2), "col"), (VarDecl("x", None), "pos"),
 ])
 def test_values_are_immutable(value, name):
@@ -193,8 +208,7 @@ def test_values_are_immutable(value, name):
 
 def test_repr_names_the_class_and_fields():
     assert repr(a(3)) == "TypeVar(id=3)"
-    assert repr(g("Z", "l")) == ("GroundType(dsort=DecoratedSort(sort=Sort(name='Z'), "
-                                 "deco=Decoration(symbol='l')))")
+    assert repr(g("Z", "l")) == "DecoratedSort(sort=Sort(name='Z'), deco=Decoration(symbol='l'))"
     assert repr(Sub(a(1), a(2))) == "Sub(lhs=TypeVar(id=1), rhs=TypeVar(id=2))"
     assert repr(Var("x")) == "Var(name='x')"
     assert repr(SynApp("f", [Var("x")])) == "SynApp(op='f', args=(Var(name='x'),))"
@@ -238,7 +252,7 @@ def test_interning_is_thread_safe():
 
     def build():
         barrier.wait(timeout=30)
-        built.append([(TypeVar(i), GroundType(dsort(f"Race{i}", "l"))) for i in ids])
+        built.append([(TypeVar(i), dsort(f"Race{i}", "l")) for i in ids])
 
     threads = [threading.Thread(target=build) for _ in range(4)]
     interval = sys.getswitchinterval()

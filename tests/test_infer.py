@@ -31,7 +31,7 @@ from ruletypes import (
     infer_term,
     init_context,
 )
-from ruletypes.core import ConstraintSet, GroundType, TypeVar, free_type_vars
+from ruletypes.core import ConstraintSet, TypeVar, free_type_vars
 from ruletypes.oracle import gen_instance
 from ruletypes.surface import build_context, parse, resolve_rule
 

@@ -9,7 +9,7 @@ import support
 from support import a, g, wide_rule
 
 from ruletypes import ConstraintSet, Eq, Sub, subst_satisfies
-from ruletypes.core import GroundType
+from ruletypes.core import DecoratedSort
 from ruletypes.infer import FreshSupply, infer_rule, init_context
 from ruletypes.oracle import enumerate_solutions, gen_constraints
 from ruletypes.solver import Failed, Solved, Stuck, degree, detect_failure, solve
@@ -20,7 +20,7 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 def grounding(subst, var):
     image = subst.get(var)
-    assert isinstance(image, GroundType), f"α{var} ↦ {image}"
+    assert isinstance(image, DecoratedSort), f"α{var} ↦ {image}"
     return image
 
 
@@ -35,14 +35,13 @@ def test_ground_equality_with_different_sorts_fails(gamma_ex):
 def test_unrelated_bounds_through_a_variable_fail(gamma_ex):
     hit = detect_failure(gamma_ex, [Sub(g("Z"), a(1)), Sub(a(1), g("N"))])
     assert hit is not None and hit[0] == 1
-    assert not support.naive_sort_leq(gamma_ex, *(s.sort for s in
-                                                  (g("Z").dsort, g("N").dsort)))
+    assert not support.naive_sort_leq(gamma_ex, g("Z").sort, g("N").sort)
 
 
 def test_ground_pair_outside_the_closure_fails(gamma_ex):
     hit = detect_failure(gamma_ex, [Sub(g("N"), g("N", "one"))])
     assert hit is not None and hit[0] == 4
-    assert not support.naive_subtype(gamma_ex, g("N").dsort, g("N", "one").dsort)
+    assert not support.naive_subtype(gamma_ex, g("N"), g("N", "one"))
 
 
 def test_empty_set_has_no_failure(gamma_ex):

@@ -2,8 +2,21 @@ import pytest
 
 import support
 
-from ruletypes import ListApp, Match, Rule, StarVar, SynApp, Var, WellTyped, check_rule, cli, dsort, validate
-from ruletypes.core import GroundType
+from ruletypes import (
+    Context,
+    ListApp,
+    Match,
+    Rule,
+    Sort,
+    StarVar,
+    SynApp,
+    Var,
+    WellTyped,
+    check_rule,
+    cli,
+    dsort,
+    validate,
+)
 from ruletypes.oracle import gen_instance
 from ruletypes.surface import (
     OpDecl,
@@ -109,8 +122,8 @@ def test_annotation_forms():
                "rule x << [?] x -> ()\n")
     ctx = build_context(sf)
     anns = [resolve_rule(r, ctx).cond.at for r in sf.rules]
-    assert anns[0] == GroundType(dsort("Z"))
-    assert anns[1] == GroundType(dsort("Z", "l"))
+    assert anns[0] is dsort("Z")
+    assert anns[1] is dsort("Z", "l")
     assert anns[2] is None
 
 
@@ -126,7 +139,7 @@ def test_application_resolution_against_ranks(example2_path):
 def test_list_operator_declared_after_its_rule():
     sf = parse("sort Z\nvar x : Z\nrule l(x) << [Z] l() -> ()\nvop l : Z* -> Z\n")
     (match,) = sf.rules[0].conds
-    assert match == Match(ListApp("l", (Var("x"),)), ListApp("l"), GroundType(dsort("Z")))
+    assert match == Match(ListApp("l", (Var("x"),)), ListApp("l"), dsort("Z"))
     ctx = build_context(sf)
     assert validate(ctx) == []
     assert isinstance(check_rule(ctx, resolve_rule(sf.rules[0], ctx)), WellTyped)
@@ -223,3 +236,17 @@ def test_render_instance_rebuilds_the_same_context(gamma_ex):
     assert ctx.var_types == gamma_ex.var_types
     assert ctx.star_types == gamma_ex.star_types
     assert resolve_rule(sf.rules[0], ctx) == rule
+
+
+def test_render_instance_keeps_every_declared_parent():
+    # One sort line per edge, so the round trip keeps the defect for
+    # validate to report and the first-declared parent for the order.
+    sa, sb, sc = Sort("A"), Sort("B"), Sort("C")
+    ctx = Context([sa, sb, sc], [(sa, sb), (sa, sc)])
+    rule = Rule(Match(Var("x"), Var("x"), dsort("A")))
+    text = render_instance(ctx, rule)
+    assert text.startswith("sort A <: B\nsort A <: C\nsort B\nsort C\n")
+    again = build_context(parse(text))
+    assert again.subsort_decls == ctx.subsort_decls
+    assert [v.kind for v in validate(again)] == ["multiple-inheritance"]
+    assert again.supersort_chain(sa) == (sa, sb)
