@@ -16,9 +16,10 @@ The runs are every fixture and corpus file under ``tests/fixtures`` ×
 command × text/JSON × with and without ``--trace``; ``--seed`` inputs;
 ``solve --oracle``, also with too small a budget; usage errors; and the
 inline sources below (parse errors, rule errors, deep nesting, a wide list,
-and a 36-wide list pattern that solves and one that fails).  Runs are
-in-process, one after another, with the working directory at the input's
-directory so that file names print the same in any checkout.
+a 36-wide list pattern that solves and one that fails, and ill-formed
+signatures).  Runs are in-process, one after another, with the working
+directory at the input's directory so that file names print the same in
+any checkout.
 """
 
 from __future__ import annotations
@@ -85,6 +86,17 @@ WIDE_TAIL = (",w0*,w0*,L(x1,c()),x2,c(),s(x4),f(x0,s(c())),g(s(y1)),M(c(),m2*),s
              "w1*,w0*,L(x1,c()),x2,c(),s(x4),f(x0,s(c()))")
 for name, middle in (("wide-36", "s(f(g(s(x3)),M(s(x3),y3)))"), ("wide-36-failing", "g(f(x1,x1))")):
     INLINE[f"{name}.rules"] = LIST_SIGNATURE + f"rule L({WIDE_HEAD}{middle}{WIDE_TAIL}) << [?] t -> (t)\n"
+
+# Ill-formed signatures, which validate rejects and check, infer and solve
+# refuse with exit code 3: one input per kind of violation.
+INLINE.update({
+    "unknown-supersort.rules": "sort A <: B\n",
+    "unknown-rank-sorts.rules": "sort Z\nop f : Q -> Z\nvop l : Z* -> R\n",
+    "unknown-typing-sorts.rules": "sort Z\nvop l : Z* -> Z\nvar x : Q\nsvar w* : Q^l\nsvar v* : Z\n",
+    "subsort-cycle.rules": "sort A <: B\nsort B <: A\n",
+    "two-parents.rules": "sort A <: B\nsort A <: C\nsort B\nsort C\n",
+    "duplicates.rules": "sort Z\nop f : Z -> Z\nop f : Z -> Z\nvar x : Z\nvar x : Z\n",
+})
 
 COMMANDS = ("check", "infer", "solve", "validate")
 USAGE = ([], ["bogus"], ["check"], ["check", "--format", "xml", "example2.rules"],

@@ -34,6 +34,6 @@ from .core import (
 )
 from .infer import FreshSupply, InferError, InferResult, infer_cond, infer_rule, infer_term, init_context
 from .solver import Failed, Solved, SolveOutcome, Stuck, degree, detect_failure, solve
-from .surface import ParseError, SourceFile, build_context, parse, pretty, render_instance, resolve_rule
+from .surface import ParseError, SourceFile, build_context, parse, pretty, render_instance
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,7 +20,7 @@ from . import checker, solver
 from .context import Context, ErrKind, RuleError, validate
 from .core import Cond, Constraint, ConstraintSet, Derivation, Rule, Sub, Substitution, TypeTerm
 from .infer import FreshSupply, infer_rule, init_context
-from .surface import ParseError, SvarDecl, build_context, parse, render_instance, resolve_rule
+from .surface import ParseError, SvarDecl, build_context, parse, render_instance
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +330,8 @@ def run(argv: list[str]) -> int:
     if args.command == "check" and not problems:
         problems = [f"{name}:{d.pos}: check mode needs a ground typing for "
                     f"{d.name}{'*' if isinstance(d, SvarDecl) else ''}" for d in sf.fresh_marked]
-        problems += [f"{name}:{d.pos}: check mode needs ground match annotations"
-                     for d in sf.rules if any(m.at is None for m in d.conds)]
+        problems += [f"{name}:{d.pos}: check mode needs ground match annotations" for d in sf.rules
+                     if any(m.at is None for m in getattr(d.rule.cond, "conds", [d.rule.cond]))]
     if problems:
         print("\n".join(problems), file=sys.stderr)
         return 3
@@ -346,7 +346,7 @@ def run(argv: list[str]) -> int:
         # stack, to run or to render, is a per-rule error, not a crash.  So a
         # rule's output is rendered inside the guard and kept only once whole.
         try:
-            code, result = rule_report(ctx, resolve_rule(decl, ctx), args.command, budget, args.trace)
+            code, result = rule_report(ctx, decl.rule, args.command, budget, args.trace)
             output = render(result, index, args.trace, where)
         except (RuleError, RecursionError) as exc:
             error = exc if isinstance(exc, RuleError) else RuleError(

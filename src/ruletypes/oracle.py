@@ -223,7 +223,7 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
         bad(node, f"expected a ground type, got {node.type}")
         return None
 
-    def visit(node: Derivation) -> None:
+    def visit(node: Derivation) -> bool:
         rule, subject = node.rule, node.subject
 
         if rule in ("T-Var", "T-SVar"):
@@ -252,17 +252,17 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
             rank = ctx.var_ranks.get(subject.op) if isinstance(subject, ListApp) else None
             if rank is None:
                 bad(node, "no variadic rank for the operator")
-                return
+                return False
             if node.type != rank.codomain:
                 bad(node, f"conclusion should be {rank.codomain}")
-                return
+                return False
             if rule == "T-Empty":
                 if subject.args or node.premises:
                     bad(node, "empty-list rule applied to a nonempty list")
-                return
+                return False
             if not subject.args or len(node.premises) != 2:
                 bad(node, "list rule needs a last argument and two premises")
-                return
+                return False
             spine = ListApp(subject.op, subject.args[:-1])
             last = subject.args[-1]
             p_spine, p_last = node.premises
@@ -286,7 +286,7 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
         elif rule == "Sub":
             if len(node.premises) != 1 or node.premises[0].subject != subject:
                 bad(node, "subtype step needs one premise on the same term")
-                return
+                return False
             conclusion = expect_ground(node)
             premise = node.premises[0]
             if premise.rule == "Sub":
@@ -298,13 +298,13 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
         elif rule == "Gen":
             if len(node.premises) != 1 or node.premises[0].subject != subject:
                 bad(node, "erasure step needs one premise on the same term")
-                return
+                return False
             conclusion = expect_ground(node)
             premise = node.premises[0]
             own = ctx.sortof(subject)
             pt = premise.type
             if conclusion is None or not isinstance(pt, DecoratedSort):
-                return
+                return False
             if not conclusion.deco.is_any or pt.deco.is_any or pt.sort != conclusion.sort:
                 bad(node, "erasure must drop a real decoration, keeping the sort")
             if own != pt:
@@ -313,10 +313,10 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
         elif rule == "T-Match":
             if not isinstance(subject, Match) or not isinstance(subject.at, DecoratedSort):
                 bad(node, "match node needs a ground annotation")
-                return
+                return False
             if not isinstance(node.type, WtType) or len(node.premises) != 2:
                 bad(node, "match concludes wt from two premises")
-                return
+                return False
             p_pat, p_sub = node.premises
             if p_pat.subject != subject.pattern or p_pat.type != subject.at:
                 bad(node, "pattern premise malformed")
@@ -332,7 +332,7 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
         elif rule == "T-Rule":
             if not isinstance(subject, Rule) or len(node.premises) != 1 + len(subject.actions):
                 bad(node, "rule node needs the condition plus one premise per action")
-                return
+                return False
             if node.premises[0].subject != subject.cond:
                 bad(node, "condition premise mismatch")
             for i, action in enumerate(subject.actions):
@@ -343,11 +343,14 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
 
         else:
             bad(node, "not a checking rule")
+        return True
 
-        for p in node.premises:
-            visit(p)
-
-    visit(d)
+    # Pre-order with a stack, as a list spine nests one premise per element.
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if visit(node):
+            stack.extend(reversed(node.premises))
     return problems
 
 

@@ -5,7 +5,8 @@ round-trip surface the golden tests pin, and the one printer of the format).
 One regular-expression scan turns the whole file into a flat token list,
 lines broken where :meth:`str.splitlines` breaks them; the parser walks it
 with an integer cursor and works out a position only for a declaration head
-or an error.  It yields core values: ranks, ground types, matches and terms.
+or an error.  A parsed file holds the values it declares: the rank of an
+``op`` or ``vop`` line, and the core rule of a ``rule`` line.
 Before parsing, one pass over the tokens collects the names that a ``vop``
 declaration heads, wherever in the file it stands; an application of such a
 name is parsed as a list application, and any other as a syntactic one.
@@ -27,7 +28,6 @@ from typing import Union
 
 from .context import Context, SynRank, VariadicRank
 from .core import (
-    Cond,
     Conj,
     DecoratedSort,
     Decoration,
@@ -59,22 +59,11 @@ class ParseError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Declarations (positions excluded from equality for round-trip tests)
+# Declarations besides ranks (positions excluded from equality for round-trip tests)
 
-class SortDecl(Value, uncompared=("pos",)):
+class SortDecl(Value):
     name: str
     supersort: str | None = None
-    pos: Pos = Pos(0, 0)
-
-
-class OpDecl(Value, uncompared=("pos",)):
-    rank: SynRank
-    pos: Pos = Pos(0, 0)
-
-
-class VopDecl(Value, uncompared=("pos",)):
-    rank: VariadicRank
-    pos: Pos = Pos(0, 0)
 
 
 # A typing or match annotation is None for the fresh marker `?`.
@@ -92,17 +81,18 @@ class SvarDecl(Value, uncompared=("pos",)):
 
 
 class RuleDecl(Value, uncompared=("pos",)):
-    """A rule as parsed: its matches, in order, and its actions."""
+    """A parsed rule, its matches conjoined if there are several."""
 
-    conds: tuple[Match, ...]
-    actions: tuple[Term, ...]
+    rule: Rule
     pos: Pos = Pos(0, 0)
 
 
-Decl = Union[SortDecl, OpDecl, VopDecl, VarDecl, SvarDecl, RuleDecl]
+Decl = Union[SortDecl, SynRank, VariadicRank, VarDecl, SvarDecl, RuleDecl]
 
 
 class SourceFile(Value):
+    """A file's declarations, in order."""
+
     decls: tuple[Decl, ...]
 
     @property
@@ -218,7 +208,7 @@ def _parse_term(cur: _Cursor, star_ok: bool) -> Term:
 
 
 def _parse_rule(cur: _Cursor, pos: Pos) -> RuleDecl:
-    conds: list[Match] = []
+    matches: list[Match] = []
     while True:
         pattern = _parse_term(cur, star_ok=False)
         cur.take("<<")
@@ -226,7 +216,7 @@ def _parse_rule(cur: _Cursor, pos: Pos) -> RuleDecl:
         ann = _parse_type_ann(cur)
         cur.take("]")
         subject = _parse_term(cur, star_ok=False)
-        conds.append(Match(pattern, subject, ann))
+        matches.append(Match(pattern, subject, ann))
         if cur.peek() == "/\\":
             cur.take()
             continue
@@ -240,7 +230,7 @@ def _parse_rule(cur: _Cursor, pos: Pos) -> RuleDecl:
             cur.take()
             actions.append(_parse_term(cur, star_ok=False))
     cur.take(")")
-    return RuleDecl(tuple(conds), tuple(actions), pos)
+    return RuleDecl(Rule(matches[0] if len(matches) == 1 else Conj(matches), actions), pos)
 
 
 def parse(source: str) -> SourceFile:
@@ -269,7 +259,7 @@ def parse(source: str) -> SourceFile:
             if cur.peek() == "<:":
                 cur.take()
                 supersort = cur.take_ident("a sort name")
-            decls.append(SortDecl(name, supersort, pos))
+            decls.append(SortDecl(name, supersort))
         elif head == "op":
             name = cur.take_ident("an operator name")
             cur.take(":")
@@ -278,7 +268,7 @@ def parse(source: str) -> SourceFile:
                 domain.append(Sort(cur.take_ident("a sort name")))
             cur.take("->")
             codomain = Sort(cur.take_ident("a sort name"))
-            decls.append(OpDecl(SynRank.make(name, domain, codomain), pos))
+            decls.append(SynRank.make(name, domain, codomain))
         elif head == "vop":
             name = cur.take_ident("an operator name")
             cur.take(":")
@@ -286,7 +276,7 @@ def parse(source: str) -> SourceFile:
             cur.take("*")
             cur.take("->")
             codomain = Sort(cur.take_ident("a sort name"))
-            decls.append(VopDecl(VariadicRank.make(name, elem, codomain), pos))
+            decls.append(VariadicRank.make(name, elem, codomain))
         elif head == "var":
             name = cur.take_ident("a variable name")
             cur.take(":")
@@ -320,17 +310,16 @@ def pretty(sf: SourceFile) -> str:
     for d in sf.decls:
         if isinstance(d, SortDecl):
             lines.append(f"sort {d.name}" + (f" <: {d.supersort}" if d.supersort else ""))
-        elif isinstance(d, OpDecl):
-            lines.append(f"op {d.rank}")
-        elif isinstance(d, VopDecl):
-            lines.append(f"vop {d.rank}")
+        elif isinstance(d, SynRank):
+            lines.append(f"op {d}")
+        elif isinstance(d, VariadicRank):
+            lines.append(f"vop {d}")
         elif isinstance(d, VarDecl):
             lines.append(f"var {d.name} : {d.ann or '?'}")
         elif isinstance(d, SvarDecl):
             lines.append(f"svar {d.name}* : {d.ann or '?'}")
         else:
-            conds = " /\\ ".join(str(m) for m in d.conds)
-            lines.append(f"rule {conds} -> ({', '.join(str(a) for a in d.actions)})")
+            lines.append(f"rule {d.rule}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -344,22 +333,16 @@ def build_context(sf: SourceFile) -> Context:
     sorts = [Sort(d.name) for d in sf.decls if isinstance(d, SortDecl)]
     edges = [(Sort(d.name), Sort(d.supersort))
              for d in sf.decls if isinstance(d, SortDecl) and d.supersort]
-    ranks = [d.rank for d in sf.decls if isinstance(d, (OpDecl, VopDecl))]
+    ranks = [d for d in sf.decls if isinstance(d, (SynRank, VariadicRank))]
     var_types = [(d.name, d.ann) for d in sf.decls if isinstance(d, VarDecl) and d.ann]
     star_types = [(d.name, d.ann) for d in sf.decls if isinstance(d, SvarDecl) and d.ann]
     return Context(sorts, edges, ranks, var_types, star_types)
 
 
 def resolve_rule(decl: RuleDecl, ctx: Context) -> Rule:
-    """The rule a parsed declaration states: its matches, conjoined if there
-    are several, and its actions.  ``ctx`` is not read: the parser has already
-    told list applications from syntactic ones by the file's ``vop`` lines.
-    On a file that declares one name both ``op`` and ``vop``, which
-    :func:`ruletypes.context.validate` reports as overloading, the parser reads
-    the name's applications as lists while the context keeps the first
-    declaration."""
-    cond: Cond = decl.conds[0] if len(decl.conds) == 1 else Conj(decl.conds)
-    return Rule(cond, decl.actions)
+    """``decl.rule``, for the benchmark's workers, which still call this;
+    ``ctx`` is not read.  Other code reads ``decl.rule``."""
+    return decl.rule
 
 
 def render_instance(ctx: Context, rule: Rule) -> str:
@@ -367,12 +350,11 @@ def render_instance(ctx: Context, rule: Rule) -> str:
     a ``sort`` line per declared edge (none for an undeclared child) or bare,
     then operators, variadic operators, variable and star typings, all in the
     context's order, then the rule; used for the generated corpus fixtures."""
-    conds = rule.cond.conds if isinstance(rule.cond, Conj) else (rule.cond,)
     return pretty(SourceFile((
         *(SortDecl(str(s), parent) for s in ctx.sorts
           for parent in [str(p) for c, p in ctx.subsort_decls if c == s] or [None]),
-        *map(OpDecl, ctx.syn_ranks.values()),
-        *map(VopDecl, ctx.var_ranks.values()),
+        *ctx.syn_ranks.values(),
+        *ctx.var_ranks.values(),
         *(VarDecl(name, tt) for name, tt in ctx.var_types.items()),
         *(SvarDecl(name, tt) for name, tt in ctx.star_types.items()),
-        RuleDecl(conds, rule.actions))))
+        RuleDecl(rule))))

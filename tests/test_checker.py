@@ -20,7 +20,7 @@ from ruletypes import (
     dsort,
 )
 from ruletypes.oracle import derivation_search, gen_instance, validate_derivation
-from ruletypes.surface import build_context, parse, resolve_rule
+from ruletypes.surface import build_context, parse
 
 
 def labels(derivation):
@@ -109,7 +109,7 @@ def test_star_types_are_checked_right_to_left_before_the_elements(fixtures_dir):
     # list type, so which error comes first pins the order of the list steps
     sf = parse((fixtures_dir / "lists.rules").read_text(encoding="utf-8"))
     ctx = build_context(sf)
-    bad = resolve_rule(sf.rules[2], ctx).cond
+    bad = sf.rules[2].rule.cond
     args = bad.pattern.args
     for kept, kind, path in [
         (args, ErrKind.EXPECTED_LIST_TYPE, "cond.pattern.arg[4]"),

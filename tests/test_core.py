@@ -37,7 +37,7 @@ from ruletypes.core import (
 )
 from ruletypes.oracle import GenParams
 from ruletypes.solver import TraceStep
-from ruletypes.surface import Pos, SortDecl, VarDecl, parse
+from ruletypes.surface import Pos, VarDecl, parse
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ def test_equal_type_terms_are_one_object():
 def test_ground_type_terms_are_decorated_sorts(gamma_ex):
     # A ground type term is the decorated sort itself, wherever it is made:
     # a parsed annotation, a rank's codomain read as a typing, a derivation.
-    (match,) = parse("sort Z\nvar x : Z\nrule x << [Z] x -> ()\n").rules[0].conds
+    match = parse("sort Z\nvar x : Z\nrule x << [Z] x -> ()\n").rules[0].rule.cond
     assert match.at is dsort("Z")
     one, lists = gamma_ex.syn_ranks["one"], gamma_ex.var_ranks["l"]
     assert gamma_ex.raw_typing(SynApp("one")) is one.codomain
@@ -229,7 +229,6 @@ def test_declarations_compare_without_their_position():
     first, second = VarDecl("x", g("Z"), Pos(1, 1)), VarDecl("x", g("Z"), Pos(7, 3))
     assert first == second and hash(first) == hash(second) and first.pos != second.pos
     assert first != VarDecl("y", g("Z"), Pos(1, 1)) and first != VarDecl("x", None, Pos(1, 1))
-    assert SortDecl("N", "Z", Pos(2, 1)) == SortDecl("N", "Z")
 
 
 @pytest.mark.parametrize("value", [

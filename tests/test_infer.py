@@ -33,7 +33,7 @@ from ruletypes import (
 )
 from ruletypes.core import ConstraintSet, TypeVar, free_type_vars
 from ruletypes.oracle import gen_instance
-from ruletypes.surface import build_context, parse, resolve_rule
+from ruletypes.surface import build_context, parse
 
 
 def inference_context():
@@ -291,7 +291,7 @@ def _inferred_rules(source):
     sf = parse(source)
     ctx = build_context(sf)
     for decl in sf.rules:
-        rule = resolve_rule(decl, ctx)
+        rule = decl.rule
         fresh = FreshSupply()
         yield infer_rule(init_context(ctx, rule, fresh), rule, fresh)
 

@@ -40,7 +40,7 @@ from ruletypes.oracle import (
     validate_derivation,
 )
 from ruletypes.solver import Solved, solve
-from ruletypes.surface import parse, render_instance
+from ruletypes.surface import build_context, parse, render_instance
 from ruletypes.context import validate
 
 
@@ -134,6 +134,117 @@ def test_validator_rejects_consecutive_subtype_steps(gamma_ex):
     assert any("normal form" in p for p in problems)
 
 
+def test_validator_walks_a_list_of_any_width(gamma_ex):
+    # The checker's derivation nests one premise level per list element.
+    wide = ListApp("l", (SynApp("one"),) * 2000)
+    out = check_rule(gamma_ex, Rule(Match(wide, ListApp("l"), g("Z", "l"))))
+    assert isinstance(out, WellTyped)
+    assert validate_derivation(gamma_ex, out.derivation) == []
+
+
+def _checked(fixtures_dir, source):
+    """A context and the checker's derivation of ``example2``'s rule,
+    ``lists``' second rule, or (``conj``) ``lists``' first two conditions
+    conjoined."""
+    name = "example2" if source == "example2" else "lists"
+    sf = parse((fixtures_dir / f"{name}.rules").read_text(encoding="utf-8"))
+    ctx, rules = build_context(sf), [d.rule for d in sf.rules]
+    if source == "lists":
+        rule = rules[1]
+    elif source == "conj":
+        rule = Rule(Conj((rules[0].cond, rules[1].cond)), rules[0].actions)
+    else:
+        rule = rules[0]
+    out = check_rule(ctx, rule)
+    assert isinstance(out, WellTyped) and validate_derivation(ctx, out.derivation) == []
+    return ctx, out.derivation
+
+
+def _break(d, label, change, skip=0):
+    """``d`` with its ``skip``-th node labelled ``label``, counted from 0 in
+    pre-order, replaced by ``change(node)``."""
+    seen = 0
+
+    def rebuild(node):
+        nonlocal seen
+        if node.rule == label:
+            seen += 1
+            if seen == skip + 1:
+                return change(node)
+        return Derivation(node.rule, node.subject, node.type, tuple(map(rebuild, node.premises)))
+
+    return rebuild(d)
+
+
+def _relabel(label):
+    return lambda n: Derivation(label, n.subject, n.type, n.premises)
+
+
+def _retype(t):
+    return lambda n: Derivation(n.rule, n.subject, t, n.premises)
+
+
+def _swap(n):
+    return Derivation(n.rule, n.subject, n.type, n.premises[::-1])
+
+
+def _drop_last(n):
+    return Derivation(n.rule, n.subject, n.type, n.premises[:-1])
+
+
+def _self_premise(n):
+    return Derivation(n.rule, n.subject, n.type, (*n.premises, n))
+
+
+@pytest.mark.parametrize("source, label, skip, change, broken, message", [
+    pytest.param("example2", "T-Fun", 0, _retype(g("Z", "one")), "T-Fun", "conclusion should be N^one",
+                 id="wrong-fun-conclusion"),
+    pytest.param("lists", "T-Merge", 0, _drop_last, "T-Merge", "needs a last argument and two premises",
+                 id="dropped-premise"),
+    pytest.param("lists", "T-Merge", 1, _relabel("T-Elem"), "T-Elem", "where the list rule is required",
+                 id="elem-for-merge"),
+    pytest.param("example2", "T-Merge", 0, _relabel("T-Elem"), "T-Elem", "applied to a star variable",
+                 id="elem-on-star"),
+    pytest.param("lists", "T-Elem", 2, _relabel("T-Merge"), "T-Merge", "side condition fails",
+                 id="merge-for-elem"),
+    pytest.param("example2", "T-Elem", 0, _relabel("T-Empty"), "T-Empty", "applied to a nonempty list",
+                 id="empty-for-elem"),
+    pytest.param("example2", "T-Merge", 0, _swap, "T-Merge", "leading-sublist premise malformed",
+                 id="swapped-list-premises"),
+    pytest.param("example2", "Sub", 0, _relabel("Gen"), "Gen", "must drop a real decoration",
+                 id="gen-on-any"),
+    pytest.param("example2", "Sub", 0, _retype(g("N", "one")), "Sub", "is not below N^one",
+                 id="sub-upwards"),
+    pytest.param("example2", "T-Match", 0, _swap, "T-Match", "pattern premise malformed",
+                 id="swapped-match-premises"),
+    pytest.param("conj", "T-Conj", 0, _swap, "T-Conj", "premise order mismatch",
+                 id="swapped-conj-members"),
+    pytest.param("example2", "T-Rule", 0, lambda n: _break(n, "T-Var", _retype(g("Z", "l")), 1),
+                 "T-Rule", "action premise 0 must conclude", id="action-at-wrong-type"),
+    pytest.param("example2", "T-SVar", 0, _relabel("T-Var"), "T-Var", "subject has the wrong shape",
+                 id="var-on-star"),
+    pytest.param("example2", "T-Match", 0, _relabel("CT-Match"), "CT-Match", "not a checking rule",
+                 id="inference-label"),
+    # a premise too few or too many, for every rule that fixes their number
+    *(pytest.param(source, label, 0, _drop_last, label, message, id=f"{label}-short")
+      for source, label, message in [
+          ("example2", "T-Match", "concludes wt from two premises"),
+          ("example2", "Sub", "needs one premise on the same term"),
+          ("example2", "Gen", "needs one premise on the same term"),
+          ("conj", "T-Conj", "premises must match the members"),
+          ("example2", "T-Rule", "plus one premise per action"),
+      ]),
+    pytest.param("example2", "T-Var", 0, _self_premise, "T-Var", "leaf rule with premises", id="T-Var-long"),
+    pytest.param("example2", "T-Fun", 0, _self_premise, "T-Fun", "premise count differs", id="T-Fun-long"),
+    pytest.param("example2", "T-Rule", 0, _swap, "T-Rule", "condition premise mismatch",
+                 id="swapped-rule-premises"),
+])
+def test_validator_names_the_broken_rule(fixtures_dir, source, label, skip, change, broken, message):
+    ctx, d = _checked(fixtures_dir, source)
+    problems = validate_derivation(ctx, _break(d, label, change, skip))
+    assert any(p.startswith(f"{broken} on ") and message in p for p in problems), problems
+
+
 # ---------------------------------------------------------------------------
 # instantiation
 
@@ -150,6 +261,28 @@ def test_instantiation_grounds_typings_and_annotations():
     assert gctx.star_types["x"] == g("Z", "l")
     assert grule.cond.at == g("Z", "l")
     assert isinstance(check_rule(gctx, grule), WellTyped)
+
+
+@pytest.mark.parametrize("directed", [0.8, 0.0, 1.0])
+def test_inference_is_sound_on_generated_instances(directed):
+    # The paper's soundness claim: a solution of a rule's constraints types
+    # it.  With the typings stripped and the annotations kept or erased,
+    # every solved instance re-checks once grounded by the solution.
+    solved = conj = 0
+    for seed in range(500):
+        ctx, rule = gen_instance(seed, GenParams(directed=directed))
+        for form in (rule, erase_annotations(rule)):
+            fresh = FreshSupply()
+            gamma = init_context(strip_typings(ctx), form, fresh)
+            res = infer_rule(gamma, form, fresh)
+            outcome = solve(gamma, res.constraints)
+            if isinstance(outcome, Solved):
+                annotated = res.derivation.subject  # the rule with its annotation variables
+                gctx, grule = instantiate_for_check(gamma, annotated, outcome.subst)
+                assert isinstance(check_rule(gctx, grule), WellTyped), (directed, seed, str(form))
+                solved += 1
+                conj += isinstance(annotated.cond, Conj)
+    assert solved > 0 and conj > 0
 
 
 def test_erase_annotations_and_strip_typings(gamma_ex):

@@ -13,7 +13,7 @@ from ruletypes.core import DecoratedSort
 from ruletypes.infer import FreshSupply, infer_rule, init_context
 from ruletypes.oracle import enumerate_solutions, gen_constraints
 from ruletypes.solver import Failed, Solved, Stuck, degree, detect_failure, solve
-from ruletypes.surface import build_context, parse, resolve_rule
+from ruletypes.surface import build_context, parse
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -210,7 +210,7 @@ def solve_source(source: str):
     ctx = build_context(sf)
     for decl in sf.rules:
         fresh = FreshSupply()
-        rule = resolve_rule(decl, ctx)
+        rule = decl.rule
         gamma = init_context(ctx, rule, fresh)
         yield solve(gamma, infer_rule(gamma, rule, fresh).constraints)
 

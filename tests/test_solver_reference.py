@@ -15,7 +15,7 @@ from support import wide_rule
 from ruletypes.infer import FreshSupply, infer_rule, init_context
 from ruletypes.oracle import erase_annotations, gen_constraints, strip_typings
 from ruletypes.solver import Failed, Solved, Stuck, detect_failure, solve
-from ruletypes.surface import build_context, parse, resolve_rule
+from ruletypes.surface import build_context, parse
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -35,7 +35,7 @@ def inferred_sets(source: str, checking_form: bool):
     ctx = build_context(sf)
     bare = strip_typings(ctx) if checking_form else ctx
     for decl in sf.rules:
-        rule = resolve_rule(decl, ctx)
+        rule = decl.rule
         if checking_form:
             rule = erase_annotations(rule)
         fresh = FreshSupply()

@@ -19,29 +19,22 @@ from ruletypes import (
 )
 from ruletypes.oracle import gen_instance
 from ruletypes.surface import (
-    OpDecl,
     ParseError,
-    RuleDecl,
-    SortDecl,
-    SvarDecl,
-    VarDecl,
-    VopDecl,
     build_context,
     parse,
     pretty,
     render_instance,
-    resolve_rule,
 )
 
 
 def test_running_example_parses(example2_path):
     sf = parse(example2_path.read_text())
     kinds = [type(d).__name__ for d in sf.decls]
-    assert kinds == ["SortDecl", "SortDecl", "VopDecl", "OpDecl",
+    assert kinds == ["SortDecl", "SortDecl", "VariadicRank", "SynRank",
                      "SvarDecl", "VarDecl", "SvarDecl", "RuleDecl"]
     ctx = build_context(sf)
     assert validate(ctx) == []
-    rule = resolve_rule(sf.rules[0], ctx)
+    rule = sf.rules[0].rule
     assert rule == support.example_rule()
 
 
@@ -120,41 +113,40 @@ def test_annotation_forms():
                "rule x << [Z] x -> ()\n"
                "rule x << [Z^l] x -> ()\n"
                "rule x << [?] x -> ()\n")
-    ctx = build_context(sf)
-    anns = [resolve_rule(r, ctx).cond.at for r in sf.rules]
+    anns = [r.rule.cond.at for r in sf.rules]
     assert anns[0] is dsort("Z")
     assert anns[1] is dsort("Z", "l")
     assert anns[2] is None
 
 
 def test_application_resolution_against_ranks(example2_path):
-    (match,) = parse(example2_path.read_text()).rules[0].conds
+    match = parse(example2_path.read_text()).rules[0].rule.cond
     assert isinstance(match.pattern, ListApp)
     assert isinstance(match.subject.args[0], SynApp)
     # unknown heads parse syntactically so the checker reports them
-    (mystery,) = parse("sort Z\nrule g(x) << [Z] x -> ()\n").rules[0].conds
+    mystery = parse("sort Z\nrule g(x) << [Z] x -> ()\n").rules[0].rule.cond
     assert isinstance(mystery.pattern, SynApp)
 
 
 def test_list_operator_declared_after_its_rule():
     sf = parse("sort Z\nvar x : Z\nrule l(x) << [Z] l() -> ()\nvop l : Z* -> Z\n")
-    (match,) = sf.rules[0].conds
+    match = sf.rules[0].rule.cond
     assert match == Match(ListApp("l", (Var("x"),)), ListApp("l"), dsort("Z"))
     ctx = build_context(sf)
     assert validate(ctx) == []
-    assert isinstance(check_rule(ctx, resolve_rule(sf.rules[0], ctx)), WellTyped)
+    assert isinstance(check_rule(ctx, sf.rules[0].rule), WellTyped)
 
 
 def test_names_spelled_vop_are_not_list_operators():
     # Only a line headed by `vop` declares a list operator.
     sf = parse("sort vop\nop vop : vop -> vop\nvar vop : vop\nvop l : vop* -> vop\n"
                "rule l(vop(vop)) << [vop] vop(vop) -> (vop)\n")
-    (match,) = sf.rules[0].conds
+    match = sf.rules[0].rule.cond
     assert match.pattern == ListApp("l", (SynApp("vop", (Var("vop"),)),))
     assert match.subject == SynApp("vop", (Var("vop"),))
     ctx = build_context(sf)
     assert validate(ctx) == []
-    assert isinstance(check_rule(ctx, resolve_rule(sf.rules[0], ctx)), WellTyped)
+    assert isinstance(check_rule(ctx, sf.rules[0].rule), WellTyped)
 
 
 def test_operator_declared_both_ways_is_overloading(capsys, tmp_path):
@@ -235,7 +227,7 @@ def test_render_instance_rebuilds_the_same_context(gamma_ex):
     assert ctx.var_ranks == gamma_ex.var_ranks
     assert ctx.var_types == gamma_ex.var_types
     assert ctx.star_types == gamma_ex.star_types
-    assert resolve_rule(sf.rules[0], ctx) == rule
+    assert sf.rules[0].rule == rule
 
 
 def test_render_instance_keeps_every_declared_parent():
