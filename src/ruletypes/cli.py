@@ -5,22 +5,31 @@ constraint sets, substitutions, and diagnostics as text or JSON.
 Exit codes: 0 well-typed/solved, 1 type error/failed, 2 parse error,
 3 ill-formed signature or mode mismatch, 4 stuck, 5 enumeration budget
 exceeded.  A file with several rules exits with the worst per-rule code.
+
+The common argument forms are read directly: ``check``, ``infer``, ``solve``
+or ``validate``, then one file operand that does not start with ``-`` and
+the command's own ``--format text|json``, ``--trace`` and ``--oracle``, each
+at most once, in any order.  Every other argv goes to argparse, which is
+imported only then and is the one source of usage errors and ``--help``.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from json.encoder import encode_basestring
-from typing import Any, Iterator
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Iterator
 
 from . import checker, solver
 from .context import Context, ErrKind, RuleError, validate
 from .core import Cond, Constraint, ConstraintSet, Derivation, Rule, Sub, Substitution, TypeTerm
 from .infer import FreshSupply, infer_rule, init_context
 from .surface import ParseError, SvarDecl, build_context, parse, render_instance
+
+if TYPE_CHECKING:
+    import argparse
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +259,12 @@ def json_text(value: Any) -> str:
 # ---------------------------------------------------------------------------
 # Driver
 
+_MAX_ENUM = 1_000_000
+
+
 def nonnegative_int(text: str) -> int:
     """An ``int`` argument that may not be negative."""
+    import argparse
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
     return int(text)
@@ -260,6 +273,7 @@ def nonnegative_int(text: str) -> int:
 @functools.cache
 def _arg_parser() -> argparse.ArgumentParser:
     # Built once per process; parsing leaves the parser unchanged.
+    import argparse
     parser = argparse.ArgumentParser(
         prog="ruletypes",
         description="Type-check, infer, and solve rule expressions with "
@@ -283,13 +297,46 @@ def _arg_parser() -> argparse.ArgumentParser:
         if name == "solve":
             p.add_argument("--oracle", action="store_true",
                            help="cross-check the outcome against brute-force enumeration")
-            p.add_argument("--max-enum", type=nonnegative_int, default=1_000_000,
+            p.add_argument("--max-enum", type=nonnegative_int, default=_MAX_ENUM,
                            help="budget for brute-force enumeration with --oracle")
     return parser
 
 
+# Each command's options on the direct path, besides --format.
+_FLAGS = {"check": ("--trace",), "infer": ("--trace",), "solve": ("--trace", "--oracle"),
+          "validate": ()}
+
+
+def _common_args(argv: list[str]) -> SimpleNamespace | None:
+    """What ``_arg_parser().parse_args(argv)`` returns, read directly if
+    ``argv`` has a common form (see the module docstring); else None."""
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None:
+        return None
+    args: dict[str, Any] = {"command": argv[0], "file": None, "format": None, "seed": None,
+                            **{flag[2:]: False for flag in flags}}
+    rest = iter(argv[1:])
+    for token in rest:
+        if token == "--format" and args["format"] is None:
+            args["format"] = next(rest, None)
+            if args["format"] not in ("text", "json"):
+                return None
+        elif token in flags and not args[token[2:]]:
+            args[token[2:]] = True
+        elif args["file"] is None and not token.startswith("-"):
+            args["file"] = token
+        else:
+            return None
+    if args["file"] is None:
+        return None
+    args["format"] = args["format"] or "text"
+    if argv[0] == "solve":
+        args["max_enum"] = _MAX_ENUM
+    return SimpleNamespace(**args)
+
+
 def run(argv: list[str]) -> int:
-    args = _arg_parser().parse_args(argv)
+    args = _common_args(argv) or _arg_parser().parse_args(argv)
     as_json = args.format == "json"
     report: dict[str, Any] = {"command": args.command}
     out: list[str] = []

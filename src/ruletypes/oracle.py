@@ -324,12 +324,16 @@ def validate_derivation(ctx: Context, d: Derivation) -> list[str]:
                 bad(node, "subject premise malformed")
 
         elif rule == "T-Conj":
+            if not isinstance(node.type, WtType):
+                bad(node, f"conjunction concludes wt, not {node.type}")
             if not isinstance(subject, Conj) or len(node.premises) != len(subject.conds):
                 bad(node, "conjunction premises must match the members")
             elif any(p.subject != c for p, c in zip(node.premises, subject.conds)):
                 bad(node, "conjunction premise order mismatch")
 
         elif rule == "T-Rule":
+            if not isinstance(node.type, WtType):
+                bad(node, f"rule concludes wt, not {node.type}")
             if not isinstance(subject, Rule) or len(node.premises) != 1 + len(subject.actions):
                 bad(node, "rule node needs the condition plus one premise per action")
                 return False

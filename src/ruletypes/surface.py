@@ -111,32 +111,38 @@ class SourceFile(Value):
 
 _SYMBOLS = frozenset(["<<", "<:", "->", "/\\", ":", "(", ")", "[", "]", ",", "^", "*", "?"])
 
-# One scan of the whole file.  Each match pairs the blanks and comment skipped
-# before a token with the token: a line break, an identifier, a symbol (longest
-# first), or else the rest of the file from an unexpected character on.
-_TOKEN_RE = re.compile(
-    r"([^\S\n]*(?://[^\n]*)?)(\n|[A-Za-z_][A-Za-z0-9_]*(?:\+|-(?!>))?|"
-    + "|".join(map(re.escape, sorted(_SYMBOLS, key=lambda s: (-len(s), s)))) + r"|[\s\S]+)")
+# One scan of the whole file.  Each match skips blanks and a comment, and
+# captures a token: a line break, an identifier, a symbol (longest first), or
+# else the rest of the file from an unexpected character on.  A column is
+# worked out only when asked, from its source line (_Cursor.pos).
+_GAP = r"[^\S\n]*(?://[^\n]*)?"
+_TOKEN = (r"(\n|[A-Za-z_][A-Za-z0-9_]*(?:\+|-(?!>))?|"
+          + "|".join(map(re.escape, sorted(_SYMBOLS, key=lambda s: (-len(s), s)))) + r"|[\s\S]+)")
+_TOKEN_RE = re.compile(_GAP + _TOKEN)
+_GAP_TOKEN_RE = re.compile(f"({_GAP}){_TOKEN}")
 
 
 class _Cursor:
     """An integer cursor over the scanned tokens; every line ends in a
-    ``"\\n"`` token, and positions count the skipped text and tokens.
-    ``lists`` holds the names declared by a ``vop`` line anywhere in the file."""
+    ``"\\n"`` token, and positions count the skipped text and tokens of
+    the source ``lines``.  ``lists`` holds the names declared by a ``vop``
+    line anywhere in the file."""
 
-    def __init__(self, gaps: tuple[str, ...], tokens: tuple[str, ...]):
-        self.gaps = gaps
+    def __init__(self, lines: list[str], tokens: list[str]):
+        self.lines = lines
         self.tokens = tokens
-        self.lists = {name for before, tok, name in zip(("\n",) + tokens, tokens, tokens[1:])
+        self.lists = {name for before, tok, name in zip(["\n", *tokens], tokens, tokens[1:])
                       if tok == "vop" and before == "\n"}
         self.i = 0
         self.line = 1
         self.start = 0  # index of the line's first token
 
     def pos(self, i: int) -> Pos:
-        col = (1 + sum(map(len, self.gaps[self.start:i + 1]))
-               + sum(map(len, self.tokens[self.start:i])))
-        return Pos(self.line, col)
+        text = self.lines[self.line - 1]
+        if i == self.start:  # only blanks come before a line's first token
+            return Pos(self.line, 1 + len(text) - len(text.lstrip()))
+        pairs = _GAP_TOKEN_RE.findall(text + "\n")[:i - self.start + 1]
+        return Pos(self.line, 1 + sum(len(gap) + len(tok) for gap, tok in pairs) - len(pairs[-1][1]))
 
     def peek(self) -> str:
         return self.tokens[self.i]
@@ -238,14 +244,15 @@ def parse(source: str) -> SourceFile:
     first defect.  Unknown symbols are not resolved here; that is deferred to
     validation and checking."""
     # Lines break where str.splitlines breaks them; the scan sees only "\n".
-    gaps, tokens = zip(*_TOKEN_RE.findall("\n".join(source.splitlines()) + "\n"))
+    lines = source.splitlines()
+    tokens = _TOKEN_RE.findall("\n".join(lines) + "\n")
     end = len(tokens)
     if tokens[-1] != "\n":
         # The scan stopped at an unexpected character: parse the lines before its line.
         end -= 1
         while end and tokens[end - 1] != "\n":
             end -= 1
-    cur = _Cursor(gaps, tokens)
+    cur = _Cursor(lines, tokens)
     decls: list[Decl] = []
     while cur.i < end:
         if cur.peek() == "\n":

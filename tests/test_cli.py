@@ -3,6 +3,7 @@ and the list rules, one exit code per outcome, verdicts on very wide lists,
 and diagnostics instead of a traceback on very deep nesting or a closed
 pipe."""
 
+import itertools
 import json
 import os
 import pathlib
@@ -19,7 +20,7 @@ from ruletypes import cli, solver, surface
 from ruletypes.core import RULE_LABELS, Constraint, Derivation, Eq, Sub, TypeVar, dsort
 
 
-@pytest.mark.parametrize("argv, source, golden", [
+GOLDEN_RUNS = [
     (["check", "--trace"], "example2.rules", "fig3_check.txt"),
     (["check", "--trace", "--format", "json"], "example2.rules", "example2_check.json"),
     (["solve"], "example4.rules", "example4_solve.txt"),
@@ -28,7 +29,10 @@ from ruletypes.core import RULE_LABELS, Constraint, Derivation, Eq, Sub, TypeVar
     # rule (12) produces a constraint: the `=> …` part of a trace step
     (["solve", "--trace"], "produce.rules", "produce_solve_trace.txt"),
     (["solve", "--trace", "--format", "json"], "produce.rules", "produce_solve_trace.json"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, source, golden", GOLDEN_RUNS)
 def test_output_matches_golden(capsys, fixtures_dir, argv, source, golden):
     assert cli.run(argv + [str(fixtures_dir / source)]) == 0
     captured = capsys.readouterr()
@@ -529,6 +533,51 @@ def test_cli_imports_neither_dataclasses_nor_the_oracle():
     out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_common_run_leaves_argparse_unimported(example2_path):
+    # A plain op reads its argv without argparse; a usage error still comes
+    # from argparse, imported then.
+    probe = ("import contextlib, io, sys\nfrom ruletypes import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = cli.run(['check', {str(example2_path)!r}, '--format', 'json'])\n"
+             "print(code, 'argparse' in sys.modules)\n"
+             "try:\n    cli.run(['bogus'])\nexcept SystemExit as exc:\n"
+             "    print(exc.code, 'argparse' in sys.modules)\n")
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "0 False\n2 True\n"
+    assert done.stderr.startswith("usage: ruletypes") and "invalid choice" in done.stderr
+
+
+# Words for argvs of one to five words: the commands, operands, each option,
+# option values, and forms that only argparse reads.
+ARGV_WORDS = ["check", "infer", "solve", "validate", "f.rules", "", "-x", "--format", "json", "text",
+              "xml", "--trace", "--oracle", "--seed", "3", "--max-enum", "--", "--format=json", "--form"]
+
+
+def test_common_argv_forms_parse_as_argparse_does():
+    accepted = [argv for n in range(1, 6) for argv in map(list, itertools.product(ARGV_WORDS, repeat=n))
+                if cli._common_args(argv) is not None]
+    # Ten words are operands; check and infer take them in 19 arrangements
+    # with their options, solve in 39 and validate in 5.
+    assert len(accepted) == 10 * (19 + 19 + 39 + 5)
+    for argv in accepted:
+        assert vars(cli._common_args(argv)) == vars(cli._arg_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "op.rules", "--format", "json"],  # bench/worker.py, for check, infer and solve
+    ["infer", "op.rules", "--format", "json"],
+    ["solve", "op.rules", "--format", "json"],
+    ["check", "tests/fixtures/example2.rules", "--format", "json"],  # scripts/startup.py
+    *(argv + [source] for argv, source, _ in GOLDEN_RUNS),
+    ["check", "--trace", "lists.rules"],
+    ["infer", "--trace", "lists.rules"],
+])
+def test_benchmark_and_golden_argvs_are_read_directly(argv):
+    assert cli._common_args(argv) is not None
 
 
 def test_solve_oracle_reports_an_exceeded_budget(capsys, fixtures_dir):

@@ -238,6 +238,11 @@ def _self_premise(n):
     pytest.param("example2", "T-Fun", 0, _self_premise, "T-Fun", "premise count differs", id="T-Fun-long"),
     pytest.param("example2", "T-Rule", 0, _swap, "T-Rule", "condition premise mismatch",
                  id="swapped-rule-premises"),
+    # a wt rule's conclusion retyped, at the root
+    pytest.param("example2", "T-Rule", 0, _retype(g("Z", "l")), "T-Rule", "rule concludes wt, not Z^l",
+                 id="rule-at-a-sort"),
+    pytest.param("conj", "T-Conj", 0, _retype(g("Z", "l")), "T-Conj",
+                 "conjunction concludes wt, not Z^l", id="conj-at-a-sort"),
 ])
 def test_validator_names_the_broken_rule(fixtures_dir, source, label, skip, change, broken, message):
     ctx, d = _checked(fixtures_dir, source)

@@ -20,6 +20,7 @@ from ruletypes import (
 from ruletypes.oracle import gen_instance
 from ruletypes.surface import (
     ParseError,
+    Pos,
     build_context,
     parse,
     pretty,
@@ -73,6 +74,7 @@ def test_truncated_rule_is_positioned():
     ("sort A\x0csort $", "unexpected character '$'", 2, 6),
     ("sort A\u2028sort B $", "unexpected character '$'", 2, 8),
     ("sort A\x1csort B\x85sort\x1fB C", "trailing input 'C'", 3, 8),  # \x1f is a blank
+    ("sort Z\nvar x :\t\u3000 Z^\t(", "expected a decoration, found '('", 2, 14),
 ])
 def test_parse_errors_are_positioned(source, message, line, col):
     # Lines are counted as str.splitlines counts them; columns count characters.
@@ -80,6 +82,13 @@ def test_parse_errors_are_positioned(source, message, line, col):
         parse(source)
     assert (exc.value.message, exc.value.pos.line, exc.value.pos.col) == (message, line, col)
     assert str(exc.value) == f"{line}:{col}: {message}"
+
+
+@pytest.mark.parametrize("before", ["", "sort Z\n  // a comment\n\n"])
+@pytest.mark.parametrize("decl", ["var x : Z", "svar x* : ?", "rule x << [?] y -> ()"])
+def test_declaration_positions_count_leading_blanks(before, decl):
+    line = before.count("\n") + 1
+    assert parse(f"{before}\t\x1f\u3000{decl}").decls[-1].pos == Pos(line, 4)
 
 
 def test_unknown_declaration():
