@@ -1,4 +1,4 @@
-"""Command-line driver: load a signature + rules file, run checking,
+"""Command-line driver: read one signature + rules file, run checking,
 inference, constraint solving, or context validation, and print derivations,
 constraint sets, substitutions, and diagnostics as text or JSON.
 
@@ -26,7 +26,7 @@ from . import checker, solver
 from .context import Context, ErrKind, RuleError, validate
 from .core import Cond, Constraint, ConstraintSet, Derivation, Rule, Sub, Substitution, TypeTerm
 from .infer import FreshSupply, infer_rule, init_context
-from .surface import ParseError, SvarDecl, build_context, parse, render_instance
+from .surface import ParseError, SvarDecl, build_context, parse
 
 if TYPE_CHECKING:
     import argparse
@@ -68,7 +68,7 @@ def rule_report(ctx: Context, rule: Rule, command: str, oracle_budget: int | Non
     code = {"solved": 0, "failed": 1, "stuck": 4}[report["result"]]
 
     if oracle_budget is not None:
-        from . import oracle  # only here and for --seed: a plain run does without it
+        from . import oracle  # only here: a run without --oracle does without it
         try:
             found = oracle.enumerate_solutions(
                 gamma, verdict.constraints, budget=oracle_budget, limit=1)
@@ -117,9 +117,9 @@ def render_trace(steps: tuple[solver.TraceStep, ...]) -> str:
     return "\n".join(lines)
 
 
-def report_text(report: dict[str, Any], index: int, trace: bool, where: str) -> str:
-    """A rule's report as text; the derivation and the solver's steps
-    only with ``trace``.  ``where`` (file and position) heads an error."""
+def report_text(report: dict[str, Any], index: int, where: str) -> str:
+    """A rule's report as text, with the derivation and the solver's steps
+    if it holds them.  ``where`` (file and position) heads an error."""
     head = f"rule {index}: "
     outcome, result = report.get("outcome"), report.get("result")
     if outcome == "error":
@@ -130,9 +130,9 @@ def report_text(report: dict[str, Any], index: int, trace: bool, where: str) -> 
     elif result is None:  # infer
         typings = ", ".join(f"{n} : {t}" for n, t in _typings(report["context"]))
         lines += [f"{head}Γ = {{{typings}}}", f"{head}C = {report['constraints']}"]
-    elif trace:
+    elif "derivation" in report:
         lines.append(f"{head}C = {report['constraints']}")
-    if trace:
+    if "derivation" in report:
         lines.append(render_derivation(report["derivation"]))
     if result == "solved":
         lines.append(f"{head}solved σ = {report['substitution']}")
@@ -207,8 +207,8 @@ def json_value(value: Any) -> Any:
     return value
 
 
-def report_json(report: dict[str, Any], index: int, trace: bool, where: str) -> dict[str, Any]:
-    """A rule's report as its JSON entry; ``trace`` and ``where`` serve text."""
+def report_json(report: dict[str, Any], index: int, where: str) -> dict[str, Any]:
+    """A rule's report as its JSON entry; ``where`` serves text."""
     return {"index": index, **{key: json_value(value) for key, value in report.items()}}
 
 
@@ -286,14 +286,11 @@ def _arg_parser() -> argparse.ArgumentParser:
         ("validate", "report signature well-formedness violations"),
     ):
         p = sub.add_parser(name, help=help_text)
-        source = p.add_mutually_exclusive_group(required=True)
-        source.add_argument("file", nargs="?", help="input file; omit with --seed")
+        p.add_argument("file", help="input file")
         if name != "validate":
             p.add_argument("--trace", action="store_true",
                            help="print derivation trees and solver steps")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        source.add_argument("--seed", type=int, default=None,
-                            help="run on generated corpus instance N instead of a file")
         if name == "solve":
             p.add_argument("--oracle", action="store_true",
                            help="cross-check the outcome against brute-force enumeration")
@@ -313,7 +310,7 @@ def _common_args(argv: list[str]) -> SimpleNamespace | None:
     flags = _FLAGS.get(argv[0]) if argv else None
     if flags is None:
         return None
-    args: dict[str, Any] = {"command": argv[0], "file": None, "format": None, "seed": None,
+    args: dict[str, Any] = {"command": argv[0], "file": None, "format": None,
                             **{flag[2:]: False for flag in flags}}
     rest = iter(argv[1:])
     for token in rest:
@@ -339,24 +336,14 @@ def run(argv: list[str]) -> int:
     args = _common_args(argv) or _arg_parser().parse_args(argv)
     as_json = args.format == "json"
     report: dict[str, Any] = {"command": args.command}
-    out: list[str] = []
-
-    if args.file is not None:
-        name = args.file
-        try:
-            with open(args.file, encoding="utf-8") as fh:
-                source = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            problem = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
-            print(f"{args.file}: {problem}", file=sys.stderr)
-            return 2
-    else:
-        name = f"<seed {args.seed}>"
-        from .oracle import gen_instance
-        ctx, rule = gen_instance(args.seed)
-        source = render_instance(ctx, rule)
-        if not as_json:
-            out.append(source.rstrip("\n"))
+    name = args.file
+    try:
+        with open(name, encoding="utf-8") as fh:
+            source = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        problem = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        print(f"{name}: {problem}", file=sys.stderr)
+        return 2
 
     try:
         sf = parse(source)
@@ -370,7 +357,7 @@ def run(argv: list[str]) -> int:
     if args.command == "validate":
         report.update(ok=not violations,
                       violations=[{"kind": v.kind, "detail": v.detail} for v in violations])
-        print(json_text(report) if as_json else "\n".join(out + ([str(v) for v in violations] or ["ok"])))
+        print(json_text(report) if as_json else ("\n".join(map(str, violations)) or "ok"))
         return 3 if violations else 0
 
     problems = [f"{name}: {v}" for v in violations]
@@ -386,7 +373,7 @@ def run(argv: list[str]) -> int:
     codes = [0]
     report["rules"] = []
     budget = args.max_enum if getattr(args, "oracle", False) else None
-    render, rendered = (report_json, report["rules"]) if as_json else (report_text, out)
+    render, rendered = (report_json, report["rules"]) if as_json else (report_text, [])
     for index, decl in enumerate(sf.rules, start=1):
         where = f"{name}:{decl.pos}"
         # Terms are walked recursively; a term too deep for the interpreter's
@@ -394,17 +381,17 @@ def run(argv: list[str]) -> int:
         # rule's output is rendered inside the guard and kept only once whole.
         try:
             code, result = rule_report(ctx, decl.rule, args.command, budget, args.trace)
-            output = render(result, index, args.trace, where)
+            output = render(result, index, where)
         except (RuleError, RecursionError) as exc:
             error = exc if isinstance(exc, RuleError) else RuleError(
                 ErrKind.TOO_DEEP, "rule", "the rule nests too deeply to process")
-            code, output = 1, render({"outcome": "error", "error": error}, index, args.trace, where)
+            code, output = 1, render({"outcome": "error", "error": error}, index, where)
         codes.append(code)
         rendered.append(output)
 
     report["exit"] = max(codes)
-    if as_json or out:
-        print(json_text(report) if as_json else "\n".join(out))
+    if as_json or rendered:
+        print(json_text(report) if as_json else "\n".join(rendered))
     return report["exit"]
 
 

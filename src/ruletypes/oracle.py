@@ -172,15 +172,16 @@ def derivation_search(
             rank = ctx.var_ranks.get(e.op)
             if rank is None or rank.codomain != target:
                 return False
-            if not e.args:
-                return True
-            last = e.args[-1]
-            spine = ListApp(e.op, e.args[:-1])
-            if ctx.sortof(last) == rank.codomain:
-                return search(spine, rank.codomain, depth) and search(last, rank.codomain, depth)
-            if isinstance(last, StarVar):
-                return False
-            return search(spine, rank.codomain, depth) and search(last, rank.elem, depth)
+            # A spine is typed at its operator's codomain S^f by the list
+            # rules only: no coercion reaches S^f from another type.  So the
+            # premises down the spine are its arguments', one per element.
+            for arg in e.args:
+                if ctx.sortof(arg) == rank.codomain:  # T-Merge
+                    if not search(arg, rank.codomain, depth):
+                        return False
+                elif isinstance(arg, StarVar) or not search(arg, rank.elem, depth):  # T-Elem
+                    return False
+            return True  # the empty list's axiom, or every element's premise
         return False
 
     def search(e: Term, target: DecoratedSort, k: int) -> bool:

@@ -258,7 +258,7 @@ def parse(source: str) -> SourceFile:
         if cur.peek() == "\n":
             cur.done()
             continue
-        pos = cur.pos(cur.i)
+        start = cur.i
         head = cur.take()
         if head == "sort":
             name = cur.take_ident("a sort name")
@@ -287,13 +287,14 @@ def parse(source: str) -> SourceFile:
         elif head == "var":
             name = cur.take_ident("a variable name")
             cur.take(":")
-            decls.append(VarDecl(name, _parse_type_ann(cur), pos))
+            decls.append(VarDecl(name, _parse_type_ann(cur), cur.pos(start)))
         elif head == "svar":
             name = cur.take_ident("a variable name")
             cur.take("*")
             cur.take(":")
-            decls.append(SvarDecl(name, _parse_type_ann(cur), pos))
+            decls.append(SvarDecl(name, _parse_type_ann(cur), cur.pos(start)))
         elif head == "rule":
+            pos = cur.pos(start)
             try:
                 decls.append(_parse_rule(cur, pos))
             except RecursionError:
@@ -302,7 +303,7 @@ def parse(source: str) -> SourceFile:
                 # caller's depth, so the error points at the rule itself.
                 raise ParseError("term nests too deeply to parse", pos) from None
         else:
-            raise ParseError(f"unknown declaration {head!r}", pos)
+            raise ParseError(f"unknown declaration {head!r}", cur.pos(start))
         cur.done()
     if end < len(tokens):
         raise ParseError(f"unexpected character {tokens[-1][0]!r}", cur.pos(len(tokens) - 1))

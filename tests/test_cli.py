@@ -68,9 +68,9 @@ def test_cli_sweep_matches_the_record(capsys, fixtures_dir):
     (["check", "{tmp}/cycle.rules"], 3),                    # ill-formed signature
     (["check", "{fixtures}/example4.rules"], 3),            # inference form
     (["solve", "{fixtures}/stuck.rules"], 4),
-    (["solve", "--seed", "0", "--oracle", "--max-enum", "1"], 5),
-    (["solve", "--seed", "0", "--oracle", "--max-enum", "-5"], 2),
-    (["solve", "{fixtures}/example4.rules", "--seed", "0"], 2),  # a file or a seed, not both
+    (["solve", "{fixtures}/example4.rules", "--oracle", "--max-enum", "1"], 5),
+    (["solve", "{fixtures}/example4.rules", "--oracle", "--max-enum", "-5"], 2),
+    (["solve", "{fixtures}/example4.rules", "--seed", "0"], 2),  # no such option: the CLI reads files only
 ], ids=["solved", "failed", "missing-file", "parse-error", "not-utf8", "ill-formed",
         "mode-mismatch", "stuck", "enumeration-budget", "negative-budget", "file-and-seed"])
 def test_exit_codes(capsys, tmp_path, fixtures_dir, argv, code):
@@ -83,7 +83,10 @@ def test_exit_codes(capsys, tmp_path, fixtures_dir, argv, code):
     except SystemExit as exc:  # a usage error exits from argparse
         got = exc.code
     assert got == code
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if "--seed" in argv:
+        assert "error: unrecognized arguments: --seed 0" in err
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -524,15 +527,20 @@ def test_solve_oracle_reports_its_verdict(capsys, fixtures_dir, source, code, ou
     assert capsys.readouterr().out.splitlines() == [f"rule 1: {outcome}", f"rule 1: {verdict}"]
 
 
-def test_cli_imports_neither_dataclasses_nor_the_oracle():
+def test_cli_imports_neither_dataclasses_nor_the_oracle(fixtures_dir):
     # In a fresh interpreter without site: pytest has imported dataclasses
-    # and inspect into this one.
-    probe = ("import sys, ruletypes.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'ruletypes.oracle'} & set(sys.modules)))")
+    # and inspect into this one.  Solving a file, too, does without the
+    # oracle, which only --oracle imports.
+    unwanted = "{'dataclasses', 'inspect', 'ruletypes.oracle'}"
+    probe = ("import contextlib, io, sys\nfrom ruletypes import cli\n"
+             f"print(sorted({unwanted} & set(sys.modules)))\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = cli.run(['solve', {str(fixtures_dir / 'example4.rules')!r}, '--format', 'json'])\n"
+             "print(code, 'ruletypes.oracle' in sys.modules)\n")
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    assert out == "[]\n0 False\n"
 
 
 def test_common_run_leaves_argparse_unimported(example2_path):

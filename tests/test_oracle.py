@@ -112,6 +112,34 @@ def test_search_agrees_with_the_checker_on_generated_match_sides():
     assert lists > 0  # the search's non-empty list rules are reached
 
 
+def test_search_walks_a_list_of_any_width(gamma_ex):
+    # The list's arguments are walked in a loop, not one call per element.
+    wide = ListApp("l", (SynApp("one"),) * 5000)
+    assert derivation_search(gamma_ex, wide, dsort("Z", "l"))
+    assert derivation_search(gamma_ex, wide, dsort("Z"))
+    assert not derivation_search(gamma_ex, wide, dsort("N"))
+
+
+def test_search_agrees_with_the_checker_on_a_wide_list_pattern():
+    # The 36-wide pattern of the wide-lists family, grounded by its solution,
+    # against every type of its universe: both accept exactly the same.
+    sf = parse(support.wide_rule(36))
+    ctx, rule = build_context(sf), sf.rules[0].rule
+    fresh = FreshSupply()
+    gamma = init_context(ctx, rule, fresh)
+    res = infer_rule(gamma, rule, fresh)
+    outcome = solve(gamma, res.constraints)
+    assert isinstance(outcome, Solved)
+    gctx, grule = instantiate_for_check(gamma, res.derivation.subject, outcome.subst)
+    accepted = 0
+    for side in (grule.cond.pattern, grule.cond.subject):
+        for target in ground_universe(gctx):
+            checked = isinstance(check_term(gctx, side, target), WellTyped)
+            assert checked == derivation_search(gctx, side, target), (str(side), str(target))
+            accepted += checked
+    assert 0 < accepted < 2 * len(ground_universe(gctx))
+
+
 # ---------------------------------------------------------------------------
 # derivation validator
 
