@@ -338,8 +338,8 @@ def run(argv: list[str]) -> int:
     report: dict[str, Any] = {"command": args.command}
     name = args.file
     try:
-        with open(name, encoding="utf-8") as fh:
-            source = fh.read()
+        with open(name, "rb") as fh:  # parse breaks the lines itself
+            source = fh.read().decode()
     except (OSError, UnicodeDecodeError) as exc:
         problem = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
         print(f"{name}: {problem}", file=sys.stderr)

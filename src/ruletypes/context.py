@@ -15,6 +15,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 from .core import (
+    ANY,
     DecoratedSort,
     Decoration,
     ListApp,
@@ -25,7 +26,10 @@ from .core import (
     TypeTerm,
     Value,
     Var,
+    interned,
 )
+
+_decorated, _decorations = interned(DecoratedSort), interned(Decoration)
 
 
 class SynRank(Value):
@@ -46,8 +50,8 @@ class SynRank(Value):
 
     @classmethod
     def make(cls, op: str, domain_sorts: Iterable[Sort], codomain_sort: Sort) -> "SynRank":
-        return cls._unchecked(op, tuple(map(DecoratedSort, domain_sorts)),
-                              DecoratedSort(codomain_sort, Decoration(op)))
+        return cls._unchecked(op, tuple([_decorated[s, ANY] for s in domain_sorts]),
+                              _decorated[codomain_sort, _decorations[(op,)]])
 
     def __str__(self) -> str:
         doms = " ".join(str(d.sort) for d in self.domain)
@@ -71,7 +75,7 @@ class VariadicRank(Value):
 
     @classmethod
     def make(cls, op: str, elem_sort: Sort, codomain_sort: Sort) -> "VariadicRank":
-        return cls._unchecked(op, DecoratedSort(elem_sort), DecoratedSort(codomain_sort, Decoration(op)))
+        return cls._unchecked(op, _decorated[elem_sort, ANY], _decorated[codomain_sort, _decorations[(op,)]])
 
     def __str__(self) -> str:
         return f"{self.op} : {self.elem.sort}* -> {self.codomain.sort}"
@@ -156,11 +160,11 @@ class Context:
 
         self._set_typings(var_types, star_types)
 
-        # Declared direct supersorts, first-declared first; single inheritance
-        # means the list should have length <= 1 (validate reports otherwise).
-        self._parents: dict[Sort, list[Sort]] = {s: [] for s in self._sorts}
+        # The first-declared supersort of each sort that declares one; single
+        # inheritance means there is no other (validate reports the rest).
+        self._parent: dict[Sort, Sort] = {}
         for child, parent in self._subsorts:
-            self._parents.setdefault(child, []).append(parent)
+            self._parent.setdefault(child, parent)
 
     def _set_typings(self, *typings: Iterable[tuple[str, TypeTerm]] | Mapping[str, TypeTerm]) -> None:
         # var_types, then star_types; the first typing of a name wins.
@@ -217,11 +221,8 @@ class Context:
         parents up to a root, or up to the first sort that repeats, so the
         queries stay total on a cyclic (ill-formed) context."""
         chain = {s: None}
-        parents = self._parents.get(s)
-        while parents and parents[0] not in chain:
-            s = parents[0]
+        while (s := self._parent.get(s)) is not None and s not in chain:
             chain[s] = None
-            parents = self._parents.get(s)
         return tuple(chain)
 
     def common_supersort(self, a: DecoratedSort, b: DecoratedSort) -> DecoratedSort | None:
@@ -332,14 +333,20 @@ def validate(ctx: Context) -> list[Violation]:
     violations = list(ctx._construction_violations)
     declared = set(ctx.sorts)
 
+    first_parent = ctx._parent
+    several: dict[Sort, list[Sort]] = {}  # all supersorts of a sort with several
     for child, parent in ctx.subsort_decls:
         for s in (child, parent):
             if s not in declared:
                 violations.append(Violation("unknown-sort", f"sort {s} is not declared"))
+        if parent is not (first := first_parent[child]):
+            several.setdefault(child, [first]).append(parent)
 
-    for s, parents in ctx._parents.items():
-        if len(parents) > 1:
-            names = ", ".join(p.name for p in parents)
+    # The declared sorts, then the undeclared ones that declare a supersort.
+    sorts = list(ctx.sorts) + [s for s in first_parent if s not in declared]
+    for s in sorts:
+        if s in several:
+            names = ", ".join(p.name for p in several[s])
             violations.append(
                 Violation("multiple-inheritance", f"sort {s} has several supersorts: {names}")
             )
@@ -349,7 +356,7 @@ def validate(ctx: Context) -> list[Violation]:
     # the roots and then the parents left of each sort on the path.
     on_path: dict[Sort, bool] = {}  # False once a sort's search is done
     path: list[Sort] = []
-    todo = [iter(ctx._parents)]
+    todo = [iter(sorts)]
     while todo:
         p = next(todo[-1], None)
         if p is None:
@@ -362,7 +369,7 @@ def validate(ctx: Context) -> list[Violation]:
         elif p not in on_path:
             on_path[p] = True
             path.append(p)
-            todo.append(iter(ctx._parents.get(p, [])))
+            todo.append(iter(several.get(p) or (first_parent[p],) if p in first_parent else ()))
 
     ranks: list[Rank] = list(ctx.syn_ranks.values()) + list(ctx.var_ranks.values())
     for rank in ranks:

@@ -15,7 +15,7 @@ type term is its decorated sort.  Constraints hash once, when made.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
 if TYPE_CHECKING:
     from .context import Context
@@ -50,6 +50,8 @@ def __hash__(self):
         defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
         compared = [f for f in fields if f not in uncompared]
         methods: dict[str, object] = {}
+        # Fields go in through object.__setattr__: writing ``self.__dict__``
+        # builds faster but makes reading a field slower ever after.
         exec(cls._CODE.format(
             params=", ".join(f"{f}=_d[{f!r}]" if f in defaults else f for f in fields),
             key="".join(f"{f}, " for f in fields),
@@ -92,27 +94,37 @@ class Interned(Value):
     __slots__ = ("_hash", "_str")
     _CODE = """\
 def __new__(cls, {params}):
-    key = ({key})
-    obj = cls._table.get(key)
-    return cls._intern(key) if obj is None else obj
+    return cls._table[({key})]
 """
 
     def __init_subclass__(cls) -> None:
-        cls._table = {}
+        cls._table = _Table(cls)
         super().__init_subclass__()
-
-    @classmethod
-    def _intern(cls, key: tuple) -> Interned:
-        obj = cls._unchecked(*key)
-        object.__setattr__(obj, "_hash", hash(key))
-        object.__setattr__(obj, "_str", obj._text())
-        return cls._table.setdefault(key, obj)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
         return self._str
+
+
+class _Table(dict):
+    """An interned class's values by their tuples of fields; looking one up makes it."""
+
+    def __init__(self, cls: type[Interned]):
+        self.cls = cls
+
+    def __missing__(self, key: tuple) -> Interned:
+        obj = self.cls._unchecked(*key)
+        object.__setattr__(obj, "_hash", hash(key))
+        object.__setattr__(obj, "_str", obj._text())
+        return self.setdefault(key, obj)
+
+
+def interned(cls: type[Interned]) -> Mapping[tuple, Interned]:
+    """``cls``'s values by their tuples of fields, made when missing: a hot
+    caller keeps it, since ``sorts[(name,)]`` skips the cost of ``Sort(name)``."""
+    return cls._table
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@ rules, with positioned parse errors and a canonical pretty-printer (the
 round-trip surface the golden tests pin, and the one printer of the format).
 
 One regular-expression scan turns the whole file into a flat token list,
-lines broken where :meth:`str.splitlines` breaks them; the parser walks it
-with an integer cursor and works out a position only for a declaration head
-or an error.  A parsed file holds the values it declares: the rank of an
-``op`` or ``vop`` line, and the core rule of a ``rule`` line.
-Before parsing, one pass over the tokens collects the names that a ``vop``
-declaration heads, wherever in the file it stands; an application of such a
-name is parsed as a list application, and any other as a syntactic one.
+lines broken where :meth:`str.splitlines` breaks them.  The parser walks it
+by a local index, comparing each token in place, and works out a message and
+a position only for an error or a declaration that stores its position.  A
+parsed file holds the values it declares: the rank of an ``op`` or ``vop``
+line, and the core rule of a ``rule`` line.  Before parsing, a search of the
+tokens for ``vop`` collects the names that a ``vop`` declaration heads,
+wherever in the file it stands; an application of such a name is parsed as
+a list application, and any other as a syntactic one.
 
 The format, one declaration per line, ``//`` comments::
 
@@ -40,6 +41,7 @@ from .core import (
     Term,
     Value,
     Var,
+    interned,
 )
 
 
@@ -110,133 +112,120 @@ class SourceFile(Value):
 # Tokenizer
 
 _SYMBOLS = frozenset(["<<", "<:", "->", "/\\", ":", "(", ")", "[", "]", ",", "^", "*", "?"])
+_NOT_NAME = _SYMBOLS | {"\n"}  # the tokens that cannot stand for a name
 
 # One scan of the whole file.  Each match skips blanks and a comment, and
 # captures a token: a line break, an identifier, a symbol (longest first), or
 # else the rest of the file from an unexpected character on.  A column is
-# worked out only when asked, from its source line (_Cursor.pos).
+# worked out only when asked, from its source line (_pos).
 _GAP = r"[^\S\n]*(?://[^\n]*)?"
 _TOKEN = (r"(\n|[A-Za-z_][A-Za-z0-9_]*(?:\+|-(?!>))?|"
           + "|".join(map(re.escape, sorted(_SYMBOLS, key=lambda s: (-len(s), s)))) + r"|[\s\S]+)")
 _TOKEN_RE = re.compile(_GAP + _TOKEN)
-_GAP_TOKEN_RE = re.compile(f"({_GAP}){_TOKEN}")
+
+_sorts, _decorations, _decorated = interned(Sort), interned(Decoration), interned(DecoratedSort)
 
 
-class _Cursor:
-    """An integer cursor over the scanned tokens; every line ends in a
-    ``"\\n"`` token, and positions count the skipped text and tokens of
-    the source ``lines``.  ``lists`` holds the names declared by a ``vop``
-    line anywhere in the file."""
+class _Stop(Exception):
+    """Where the walk stopped, as a token index, and why; :func:`parse` positions it."""
 
-    def __init__(self, lines: list[str], tokens: list[str]):
-        self.lines = lines
-        self.tokens = tokens
-        self.lists = {name for before, tok, name in zip(["\n", *tokens], tokens, tokens[1:])
-                      if tok == "vop" and before == "\n"}
-        self.i = 0
-        self.line = 1
-        self.start = 0  # index of the line's first token
 
-    def pos(self, i: int) -> Pos:
-        text = self.lines[self.line - 1]
-        if i == self.start:  # only blanks come before a line's first token
-            return Pos(self.line, 1 + len(text) - len(text.lstrip()))
-        pairs = _GAP_TOKEN_RE.findall(text + "\n")[:i - self.start + 1]
-        return Pos(self.line, 1 + sum(len(gap) + len(tok) for gap, tok in pairs) - len(pairs[-1][1]))
+def _unexpected(tokens: list[str], i: int, expected: str) -> _Stop:
+    """The stop at token ``i``, where ``expected``, a symbol or a kind of name, should stand."""
+    tok = tokens[i]
+    if tok == "\n":
+        return _Stop(i, "unexpected end of line" + (f", expected {expected!r}" if expected in _SYMBOLS else ""))
+    return _Stop(i, f"expected {repr(expected) if expected in _SYMBOLS else expected}, found {tok!r}")
 
-    def peek(self) -> str:
-        return self.tokens[self.i]
 
-    def take(self, expected: str | None = None) -> str:
-        tok = self.tokens[self.i]
-        if tok == "\n":
-            raise ParseError(
-                f"unexpected end of line{f', expected {expected!r}' if expected else ''}",
-                self.pos(self.i))
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, found {tok!r}", self.pos(self.i))
-        self.i += 1
-        return tok
-
-    def take_ident(self, what: str) -> str:
-        tok = self.take(None)
-        if tok in _SYMBOLS:
-            raise ParseError(f"expected {what}, found {tok!r}", self.pos(self.i - 1))
-        return tok
-
-    def done(self) -> None:
-        """Step over the end of the line, which must come next."""
-        if self.tokens[self.i] != "\n":
-            raise ParseError(f"trailing input {self.tokens[self.i]!r}", self.pos(self.i))
-        self.i += 1
-        self.line += 1
-        self.start = self.i
+def _pos(lines: list[str], line: int, start: int, i: int) -> Pos:
+    """The position of token ``i`` on line ``line``, whose first token is ``start``."""
+    text = lines[line - 1]
+    if i == start:  # only blanks come before a line's first token
+        return Pos(line, 1 + len(text) - len(text.lstrip()))
+    return Pos(line, 1 + [*_TOKEN_RE.finditer(text + "\n")][i - start].start(1))
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser.  Each function takes the token list and the index of its first
+# token, and returns what it read with the index after it.  Every line ends
+# in a "\n" token, and a token is read only once the one before it is known
+# not to be that end, so the walk never runs past a line.
 
-def _parse_type_ann(cur: _Cursor) -> DecoratedSort | None:
-    if cur.peek() == "?":
-        cur.take()
-        return None
-    sort = cur.take_ident("a sort name")
+def _type_ann(tokens: list[str], i: int) -> tuple[DecoratedSort | None, int]:
+    name = tokens[i]
+    if name == "?":
+        return None, i + 1
+    if name in _NOT_NAME:
+        raise _unexpected(tokens, i, "a sort name")
     deco = None
-    if cur.peek() == "^":
-        cur.take()
-        if cur.peek() == "?":
-            cur.take()
-        else:
-            deco = cur.take_ident("a decoration")
-    return DecoratedSort(Sort(sort), Decoration(deco))
+    if tokens[i + 1] == "^":
+        i += 2
+        if (deco := tokens[i]) == "?":
+            deco = None
+        elif deco in _NOT_NAME:
+            raise _unexpected(tokens, i, "a decoration")
+    return _decorated[_sorts[(name,)], _decorations[(deco,)]], i + 1
 
 
-def _parse_term(cur: _Cursor, star_ok: bool) -> Term:
-    name = cur.take_ident("a term")
-    if cur.peek() == "*":
-        cur.take()
+def _term(tokens: list[str], i: int, lists: set[str], star_ok: bool) -> tuple[Term, int]:
+    # One call per nesting level: the arguments are read here, not by a helper.
+    name = tokens[i]
+    if name in _NOT_NAME:
+        raise _unexpected(tokens, i, "a term")
+    after = tokens[i + 1]
+    if after == "*":
         if not star_ok:
-            raise ParseError(
-                f"star variable {name}* may only appear inside a list application",
-                cur.pos(cur.i - 2))
-        return StarVar(name)
-    if cur.peek() == "(":
-        cur.take()
-        args: list[Term] = []
-        if cur.peek() != ")":
-            args.append(_parse_term(cur, star_ok=True))
-            while cur.peek() == ",":
-                cur.take()
-                args.append(_parse_term(cur, star_ok=True))
-        cur.take(")")
-        return (ListApp if name in cur.lists else SynApp)(name, tuple(args))
-    return Var(name)
+            raise _Stop(i, f"star variable {name}* may only appear inside a list application")
+        return StarVar(name), i + 2
+    if after != "(":
+        return Var(name), i + 1
+    args: list[Term] = []
+    i += 2
+    if tokens[i] != ")":
+        while True:
+            arg, i = _term(tokens, i, lists, True)
+            args.append(arg)
+            if tokens[i] != ",":
+                break
+            i += 1
+        if tokens[i] != ")":
+            raise _unexpected(tokens, i, ")")
+    return (ListApp if name in lists else SynApp)(name, tuple(args)), i + 1
 
 
-def _parse_rule(cur: _Cursor, pos: Pos) -> RuleDecl:
+def _rule(tokens: list[str], i: int, lists: set[str]) -> tuple[Rule, int]:
     matches: list[Match] = []
     while True:
-        pattern = _parse_term(cur, star_ok=False)
-        cur.take("<<")
-        cur.take("[")
-        ann = _parse_type_ann(cur)
-        cur.take("]")
-        subject = _parse_term(cur, star_ok=False)
+        pattern, i = _term(tokens, i, lists, False)
+        if tokens[i] != "<<":
+            raise _unexpected(tokens, i, "<<")
+        if tokens[i + 1] != "[":
+            raise _unexpected(tokens, i + 1, "[")
+        ann, i = _type_ann(tokens, i + 2)
+        if tokens[i] != "]":
+            raise _unexpected(tokens, i, "]")
+        subject, i = _term(tokens, i + 1, lists, False)
         matches.append(Match(pattern, subject, ann))
-        if cur.peek() == "/\\":
-            cur.take()
-            continue
-        break
-    cur.take("->")
-    cur.take("(")
+        if tokens[i] != "/\\":
+            break
+        i += 1
+    if tokens[i] != "->":
+        raise _unexpected(tokens, i, "->")
+    if tokens[i + 1] != "(":
+        raise _unexpected(tokens, i + 1, "(")
     actions: list[Term] = []
-    if cur.peek() != ")":
-        actions.append(_parse_term(cur, star_ok=False))
-        while cur.peek() == ",":
-            cur.take()
-            actions.append(_parse_term(cur, star_ok=False))
-    cur.take(")")
-    return RuleDecl(Rule(matches[0] if len(matches) == 1 else Conj(matches), actions), pos)
+    i += 2
+    if tokens[i] != ")":
+        while True:
+            action, i = _term(tokens, i, lists, False)
+            actions.append(action)
+            if tokens[i] != ",":
+                break
+            i += 1
+        if tokens[i] != ")":
+            raise _unexpected(tokens, i, ")")
+    return Rule(matches[0] if len(matches) == 1 else Conj(matches), tuple(actions)), i + 1
 
 
 def parse(source: str) -> SourceFile:
@@ -252,61 +241,84 @@ def parse(source: str) -> SourceFile:
         end -= 1
         while end and tokens[end - 1] != "\n":
             end -= 1
-    cur = _Cursor(lines, tokens)
+    # The names that heads of `vop` lines declare, anywhere in the file.
+    lists, k = set(), -1
+    for _ in range(tokens.count("vop")):
+        if (k := tokens.index("vop", k + 1)) == 0 or tokens[k - 1] == "\n":
+            lists.add(tokens[k + 1])
     decls: list[Decl] = []
-    while cur.i < end:
-        if cur.peek() == "\n":
-            cur.done()
-            continue
-        start = cur.i
-        head = cur.take()
-        if head == "sort":
-            name = cur.take_ident("a sort name")
-            supersort = None
-            if cur.peek() == "<:":
-                cur.take()
-                supersort = cur.take_ident("a sort name")
-            decls.append(SortDecl(name, supersort))
-        elif head == "op":
-            name = cur.take_ident("an operator name")
-            cur.take(":")
-            domain: list[Sort] = []
-            while cur.peek() != "->":
-                domain.append(Sort(cur.take_ident("a sort name")))
-            cur.take("->")
-            codomain = Sort(cur.take_ident("a sort name"))
-            decls.append(SynRank.make(name, domain, codomain))
-        elif head == "vop":
-            name = cur.take_ident("an operator name")
-            cur.take(":")
-            elem = Sort(cur.take_ident("a sort name"))
-            cur.take("*")
-            cur.take("->")
-            codomain = Sort(cur.take_ident("a sort name"))
-            decls.append(VariadicRank.make(name, elem, codomain))
-        elif head == "var":
-            name = cur.take_ident("a variable name")
-            cur.take(":")
-            decls.append(VarDecl(name, _parse_type_ann(cur), cur.pos(start)))
-        elif head == "svar":
-            name = cur.take_ident("a variable name")
-            cur.take("*")
-            cur.take(":")
-            decls.append(SvarDecl(name, _parse_type_ann(cur), cur.pos(start)))
-        elif head == "rule":
-            pos = cur.pos(start)
-            try:
-                decls.append(_parse_rule(cur, pos))
-            except RecursionError:
-                # Terms are parsed recursively, one call per nesting level.
-                # Where the stack ran out depends on the interpreter and the
-                # caller's depth, so the error points at the rule itself.
-                raise ParseError("term nests too deeply to parse", pos) from None
-        else:
-            raise ParseError(f"unknown declaration {head!r}", cur.pos(start))
-        cur.done()
+    i = start = 0  # the index of the token read next, and of its line's first token
+    line = 1
+    try:
+        while i < end:
+            head = tokens[i]
+            if head == "sort":
+                if (name := tokens[i + 1]) in _NOT_NAME:
+                    raise _unexpected(tokens, i + 1, "a sort name")
+                supersort = None
+                i += 2
+                if tokens[i] == "<:":
+                    if (supersort := tokens[i + 1]) in _NOT_NAME:
+                        raise _unexpected(tokens, i + 1, "a sort name")
+                    i += 2
+                decls.append(SortDecl(name, supersort))
+            elif head == "op" or head == "vop":
+                if (name := tokens[i + 1]) in _NOT_NAME:
+                    raise _unexpected(tokens, i + 1, "an operator name")
+                if tokens[i + 2] != ":":
+                    raise _unexpected(tokens, i + 2, ":")
+                i += 3
+                domain: list[Sort] = []  # of a `vop`, its element sort, then a "*"
+                while tokens[i] != "->" or head == "vop" and not domain:
+                    if (sort := tokens[i]) in _NOT_NAME:
+                        raise _unexpected(tokens, i, "a sort name")
+                    domain.append(_sorts[(sort,)])
+                    i += 1
+                    if head == "vop":
+                        if tokens[i] != "*":
+                            raise _unexpected(tokens, i, "*")
+                        i += 1
+                        break
+                if tokens[i] != "->":
+                    raise _unexpected(tokens, i, "->")
+                if (sort := tokens[i + 1]) in _NOT_NAME:
+                    raise _unexpected(tokens, i + 1, "a sort name")
+                i += 2
+                decls.append(SynRank.make(name, domain, _sorts[(sort,)]) if head == "op"
+                             else VariadicRank.make(name, domain[0], _sorts[(sort,)]))
+            elif head == "var" or head == "svar":
+                if (name := tokens[i + 1]) in _NOT_NAME:
+                    raise _unexpected(tokens, i + 1, "a variable name")
+                i += 2
+                if head == "svar":
+                    if tokens[i] != "*":
+                        raise _unexpected(tokens, i, "*")
+                    i += 1
+                if tokens[i] != ":":
+                    raise _unexpected(tokens, i, ":")
+                ann, i = _type_ann(tokens, i + 1)
+                decls.append((VarDecl if head == "var" else SvarDecl)(name, ann, _pos(lines, line, start, start)))
+            elif head == "rule":
+                pos = _pos(lines, line, start, start)
+                try:
+                    rule, i = _rule(tokens, i + 1, lists)
+                except RecursionError:
+                    # Terms are parsed recursively, one call per nesting level.
+                    # Where the stack ran out depends on the interpreter and the
+                    # caller's depth, so the error points at the rule itself.
+                    raise ParseError("term nests too deeply to parse", pos) from None
+                decls.append(RuleDecl(rule, pos))
+            elif head != "\n":
+                raise _Stop(i, f"unknown declaration {head!r}")
+            if tokens[i] != "\n":
+                raise _Stop(i, f"trailing input {tokens[i]!r}")
+            i += 1
+            line += 1
+            start = i
+    except _Stop as stop:
+        raise ParseError(stop.args[1], _pos(lines, line, start, stop.args[0])) from None
     if end < len(tokens):
-        raise ParseError(f"unexpected character {tokens[-1][0]!r}", cur.pos(len(tokens) - 1))
+        raise ParseError(f"unexpected character {tokens[-1][0]!r}", _pos(lines, line, start, len(tokens) - 1))
     return SourceFile(tuple(decls))
 
 
@@ -338,8 +350,8 @@ def build_context(sf: SourceFile) -> Context:
     """Assemble the declared signature and ground typings into a context;
     well-formedness and unknown-symbol defects are reported by
     :func:`ruletypes.context.validate`, not here."""
-    sorts = [Sort(d.name) for d in sf.decls if isinstance(d, SortDecl)]
-    edges = [(Sort(d.name), Sort(d.supersort))
+    sorts = [_sorts[(d.name,)] for d in sf.decls if isinstance(d, SortDecl)]
+    edges = [(_sorts[(d.name,)], _sorts[(d.supersort,)])
              for d in sf.decls if isinstance(d, SortDecl) and d.supersort]
     ranks = [d for d in sf.decls if isinstance(d, (SynRank, VariadicRank))]
     var_types = [(d.name, d.ann) for d in sf.decls if isinstance(d, VarDecl) and d.ann]

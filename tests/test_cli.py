@@ -97,6 +97,24 @@ def test_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, fmt):
     assert capsys.readouterr() == ("", f"{path}: not UTF-8 text\n")
 
 
+@pytest.mark.parametrize("name", ["example2.rules", "example4.rules", "malformed.rules"])
+def test_line_breaks_leave_the_output_unchanged(capsys, monkeypatch, tmp_path, fixtures_dir, name):
+    # The file is read as bytes and parse breaks its lines, so CRLF and lone
+    # CR copies print what the LF original prints, positions included.
+    text = ("sort Z\nvar x : Z\n\nrule x << [Z] x -> (x $)\n" if name == "malformed.rules"
+            else (fixtures_dir / name).read_text("utf-8"))
+    outputs = {}
+    for folder, newline in [("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")]:
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / name).write_bytes(text.replace("\n", newline).encode())
+        monkeypatch.chdir(tmp_path / folder)
+        outputs[folder] = [(cli.run([command, name, "--format", fmt]), *capsys.readouterr())
+                           for command in ("check", "infer", "solve", "validate") for fmt in ("text", "json")]
+    assert outputs["crlf"] == outputs["lf"] and outputs["cr"] == outputs["lf"]
+    if name == "malformed.rules":
+        assert outputs["lf"][0] == (2, "", "malformed.rules:4:23: parse error: unexpected character '$'\n")
+
+
 def test_closed_pipe_exits_quietly(capsys, monkeypatch, tmp_path, example2_path):
     class ClosedPipe:
         def __init__(self, fd):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import support
 
@@ -138,12 +139,18 @@ def test_application_resolution_against_ranks(example2_path):
 
 
 def test_list_operator_declared_after_its_rule():
-    sf = parse("sort Z\nvar x : Z\nrule l(x) << [Z] l() -> ()\nvop l : Z* -> Z\n")
-    match = sf.rules[0].rule.cond
-    assert match == Match(ListApp("l", (Var("x"),)), ListApp("l"), dsort("Z"))
-    ctx = build_context(sf)
-    assert validate(ctx) == []
-    assert isinstance(check_rule(ctx, sf.rules[0].rule), WellTyped)
+    for source in [
+        "sort Z\nvar x : Z\nrule l(x) << [Z] l() -> ()\nvop l : Z* -> Z\n",
+        "sort Z\nvar x : Z\nrule l(x) << [Z] l() -> ()\n\x1f\u3000vop l : Z* -> Z\n",  # blanks before
+        "sort Z\nvar x : Z\nrule l(x) << [Z] l() -> ()\x0cvop l : Z* -> Z",  # after other line breaks
+        "sort Z\u2028var x : Z\u2028rule l(x) << [Z] l() -> ()\u2028vop l : Z* -> Z\u2028",
+    ]:
+        sf = parse(source)
+        match = sf.rules[0].rule.cond
+        assert match == Match(ListApp("l", (Var("x"),)), ListApp("l"), dsort("Z"))
+        ctx = build_context(sf)
+        assert validate(ctx) == []
+        assert isinstance(check_rule(ctx, sf.rules[0].rule), WellTyped)
 
 
 def test_names_spelled_vop_are_not_list_operators():
@@ -156,6 +163,13 @@ def test_names_spelled_vop_are_not_list_operators():
     ctx = build_context(sf)
     assert validate(ctx) == []
     assert isinstance(check_rule(ctx, sf.rules[0].rule), WellTyped)
+    # Nor does a comment, or a head that only begins with `vop`.
+    commented = parse("sort Z\n// vop l : Z* -> Z\nop l : Z -> Z\nrule l(x) << [Z] x -> ()\n")
+    assert commented.rules[0].rule.cond.pattern == SynApp("l", (Var("x"),))
+    for head in ("vop+", "vop-"):
+        with pytest.raises(ParseError) as exc:
+            parse(f"sort Z\nrule l(x) << [Z] x -> ()\n{head} l : Z* -> Z\n")
+        assert str(exc.value) == f"3:1: unknown declaration {head!r}"
 
 
 def test_operator_declared_both_ways_is_overloading(capsys, tmp_path):
@@ -172,6 +186,45 @@ def test_fresh_markers_are_tracked():
     assert [d.name for d in sf.fresh_marked] == ["x", "y"]
     ctx = build_context(sf)
     assert "z" in ctx.var_types and "x" not in ctx.var_types
+
+
+# Lines of sources: whole or cut-short declarations, or runs of names, every
+# symbol, blanks and comments; each line ends in a break that str.splitlines
+# knows.
+DECLARATIONS = [
+    "sort Z", "sort N <: Z", "op f : Z N -> Z", "op c : -> N", "vop l : Z* -> Z", "var x : Z^l",
+    "svar w* : ?", "rule l(x, w*, f(x, c())) << [Z] x /\\ x << [?] c() -> (x)", "rule x << [N^c] c() -> ()",
+]
+PIECES = [
+    "sort", "op", "vop", "var", "svar", "rule", "x", "Z", "l", "f", "vop+", "Int-", "a_1", "$",
+    "<<", "<:", "->", "/\\", ":", "(", ")", "[", "]", ",", "^", "*", "?",
+    " ", "\t", "\x1f", "\u3000", "// vop l : Z* -> Z", "//",
+]
+BLANKS = ["", " ", "\t", "\x1f", "\u3000"]
+BREAKS = ["\n", "\r\n", "\r", "\x0c", "\u2028", "\x85", ""]
+LINES = st.tuples(
+    st.sampled_from(BLANKS),
+    st.one_of(st.sampled_from(DECLARATIONS),
+              st.sampled_from(DECLARATIONS).flatmap(lambda d: st.integers(0, len(d)).map(lambda k: d[:k])),
+              st.lists(st.sampled_from(PIECES), max_size=10).map("".join)),
+    st.sampled_from(["", " // a comment"]),
+    st.sampled_from(BREAKS),
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(LINES, max_size=8).map("".join))
+def test_parse_accepts_or_points_into_the_source(source):
+    # The walk never reads past a line's end: a source parses and prints
+    # back to itself, or its error lies on one of its lines.
+    try:
+        sf = parse(source)
+    except ParseError as exc:
+        lines = source.splitlines()
+        assert 1 <= exc.pos.line <= len(lines)
+        assert 1 <= exc.pos.col <= len(lines[exc.pos.line - 1]) + 1
+    else:
+        assert parse(pretty(sf)) == sf
 
 
 def test_round_trip_on_fixtures(fixtures_dir):
