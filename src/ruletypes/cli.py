@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from . import checker, solver
 from .context import Context, ErrKind, RuleError, validate
-from .core import Cond, Constraint, ConstraintSet, Derivation, Rule, Sub, Substitution, TypeTerm
+from .core import Cond, Constraint, ConstraintSet, Derivation, Eq, Rule, Sub, Substitution, TypeTerm
 from .infer import FreshSupply, infer_rule, init_context
 from .surface import ParseError, SvarDecl, build_context, parse
 
@@ -212,14 +212,19 @@ def report_json(report: dict[str, Any], index: int, where: str) -> dict[str, Any
     return {"index": index, **{key: json_value(value) for key, value in report.items()}}
 
 
-_CONSTRAINT_JSON = '{{{3}  "kind": "{0}",{3}  "lhs": {1},{3}  "rhs": {2}{3}}}'
+@functools.lru_cache(maxsize=64)  # bounded: a deep trace has a pad per level
+def _constraint_templates(pad: str) -> dict[type, str]:
+    """A constraint's JSON object at indent ``pad`` by class: a ``%`` template for its sides' ``_json``."""
+    return {cls: f'{{{pad}  "kind": "{kind}",{pad}  "lhs": %s,{pad}  "rhs": %s{pad}}}'
+            for cls, kind in ((Eq, "eq"), (Sub, "sub"))}
 
 
 def json_text(value: Any) -> str:
     """``json.dumps(value, ensure_ascii=False, indent=2)`` for a report (dicts
     with string keys, lists, strings, ints, booleans, None, and constraints,
     which print as ``constraint_json`` would), written in one pass with an
-    explicit stack, so that any nesting depth renders."""
+    explicit stack, so that any nesting depth renders.  A non-empty list of
+    constraints is written in one join, from its sides' JSON literals."""
     out: list[str] = []
     # The open container's (key, item) pairs left, kind and indent; the stack holds its parents'.
     pairs: Iterator[tuple[Any, Any]] = iter([(None, value)])
@@ -232,9 +237,11 @@ def json_text(value: Any) -> str:
             if isinstance(value, str):
                 out.append(encode_basestring(value))
             elif isinstance(value, Constraint):
-                out.append(_CONSTRAINT_JSON.format("sub" if isinstance(value, Sub) else "eq",
-                                                   encode_basestring(str(value.lhs)),
-                                                   encode_basestring(str(value.rhs)), pad))
+                out.append(_constraint_templates(pad)[value.__class__] % (value.lhs._json, value.rhs._json))
+            elif value.__class__ is list and value and {Eq, Sub}.issuperset(map(type, value)):
+                item = _constraint_templates(inner := pad + "  ")
+                out.append("[" + inner + ("," + inner).join(
+                    [item[c.__class__] % (c.lhs._json, c.rhs._json) for c in value]) + pad + "]")
             elif isinstance(value, (dict, list)):
                 stack.append((pairs, is_dict, pad))
                 is_dict = isinstance(value, dict)

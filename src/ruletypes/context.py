@@ -352,24 +352,26 @@ def validate(ctx: Context) -> list[Violation]:
             )
 
     # Cycle detection over declared edges (union of all parents), depth first
-    # with an explicit stack: ``path`` holds the sorts under search, ``todo``
-    # the roots and then the parents left of each sort on the path.
-    on_path: dict[Sort, bool] = {}  # False once a sort's search is done
-    path: list[Sort] = []
-    todo = [iter(sorts)]
-    while todo:
-        p = next(todo[-1], None)
-        if p is None:
-            todo.pop()
-            if path:
-                on_path[path.pop()] = False
-        elif on_path.get(p):
+    # with an explicit stack: ``path`` holds ``None``, whose parents are the
+    # roots, then the sorts under search; ``tried``, how many parents each took.
+    on_path: dict[Sort | None, bool] = {}  # False once a sort's search is done
+    path: list[Sort | None] = [None]
+    tried = [0]
+    while path:
+        s, i = path[-1], tried[-1]
+        parents = sorts if s is None else several.get(s) or (first_parent[s],) if s in first_parent else ()
+        if i == len(parents):
+            on_path[path.pop()] = False
+            tried.pop()
+            continue
+        tried[-1] = i + 1
+        if on_path.get(p := parents[i]):
             names = " <: ".join(x.name for x in path[path.index(p):] + [p])
             violations.append(Violation("subsort-cycle", f"subsort cycle through {names}"))
         elif p not in on_path:
             on_path[p] = True
             path.append(p)
-            todo.append(iter(several.get(p) or (first_parent[p],) if p in first_parent else ()))
+            tried.append(0)
 
     ranks: list[Rank] = list(ctx.syn_ranks.values()) + list(ctx.var_ranks.values())
     for rank in ranks:

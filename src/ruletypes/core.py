@@ -8,13 +8,15 @@ the fields its body annotates.  Values are immutable after construction and
 safe to share across threads (a verdict's derivation tree is built on first
 read).  Sorts, decorations, decorated sorts and type variables are
 hash-consed (:class:`Interned`, a :class:`Value`), in per-class tables
-bounded by the names declared and the largest type-variable id.  A ground
-type term is its decorated sort.  Constraints hash once, when made.
+bounded by the names declared and the largest type-variable id; they hash
+by identity, and their text and its JSON string literal are computed once.
+A ground type term is its decorated sort.  Constraints hash once, when made.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
 if TYPE_CHECKING:
@@ -29,7 +31,7 @@ class Value:
     keyword, the dataclass ``repr``, and copy and pickle support through the
     constructor.  The methods of ``_CODE`` are written once per class, for
     its fields.  A subclass that declares ``__slots__`` writes its own
-    constructor, ``==`` and hash, and names its fields in ``_fields``."""
+    constructor and ``_fields``, and its ``==`` and hash or keeps ``object``'s."""
 
     __slots__ = ()
     _CODE = """\
@@ -86,12 +88,12 @@ def __hash__(self):
 
 class Interned(Value):
     """Base of the hash-consed values: ``Cls(*fields)`` returns the one object
-    with those fields, so ``==`` is ``object``'s identity test, and the hash
-    and ``str`` (``_text``) are computed once.  The table insert is a
-    ``dict.setdefault``, so threads racing to make one value all get the
-    object that went in first."""
+    with those fields, so ``==`` and the hash are ``object``'s, by identity,
+    and ``str`` (``_text``) and its JSON string literal (``_json``) are
+    computed once.  The table insert is a ``dict.setdefault``, so threads
+    racing to make one value all get the object that went in first."""
 
-    __slots__ = ("_hash", "_str")
+    __slots__ = ("_str", "_json")
     _CODE = """\
 def __new__(cls, {params}):
     return cls._table[({key})]
@@ -100,9 +102,6 @@ def __new__(cls, {params}):
     def __init_subclass__(cls) -> None:
         cls._table = _Table(cls)
         super().__init_subclass__()
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return self._str
@@ -116,8 +115,8 @@ class _Table(dict):
 
     def __missing__(self, key: tuple) -> Interned:
         obj = self.cls._unchecked(*key)
-        object.__setattr__(obj, "_hash", hash(key))
         object.__setattr__(obj, "_str", obj._text())
+        object.__setattr__(obj, "_json", encode_basestring(obj._str))
         return self.setdefault(key, obj)
 
 
@@ -334,7 +333,8 @@ class Constraint(Value):
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and other.lhs is self.lhs and other.rhs is self.rhs
 
-    __hash__ = Interned.__hash__
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.lhs} {self._op} {self.rhs}"

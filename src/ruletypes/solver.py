@@ -5,9 +5,9 @@ simplification rules.
 Each step first scans for the five failure patterns, then applies the
 lowest-numbered resolution rule that matches, at its first match in
 insertion order, touching only the constraints it consumes, produces or
-rewrites.  No step hashes a term: the engine works on integer codes, the
-tags of hash-consing (Filliâtre and Conchon).  In one ``solve`` α_k is
-``2k`` (k < 2^39), the i-th ground type met ``2i+1`` and a constraint
+rewrites.  No step hashes a term's fields: the engine works on integer
+codes, the tags of hash-consing (Filliâtre and Conchon).  In one ``solve``
+α_k is ``2k`` (k < 2^39), the i-th ground type met ``2i+1``, a constraint
 ``((l << 40 | r) << 1) | is_sub``; subtyping and joins are memoized by codes.
 
 - **Stable slots.**  Each distinct constraint keeps a slot, with its key,
@@ -123,7 +123,7 @@ class _State:
 
     def __init__(self, ctx: Context, constraints: Iterable[Constraint]):
         self.ctx, items = ctx, list(constraints)
-        # Ground types by code, codes by ground id, constraints by key, holds and common by codes.
+        # Ground types by code, codes by ground, constraints by key, holds and common by codes.
         self.grounds, self.codes, self.cache, self.memo = [], {}, {}, {}
         self.keys, self.L, self.R, self.K = ([0] * len(items) for _ in range(4))
         self.where, self.occ, self.heap, self.dirty = {}, defaultdict(set), [], set()
@@ -132,8 +132,8 @@ class _State:
         code, codes, cache, where = self.code, self.codes, self.cache, self.where
         for c in items:
             l, r = c.lhs, c.rhs
-            l = l.id << 1 if l.__class__ is TypeVar else codes.get(id(l)) or code(l)
-            r = r.id << 1 if r.__class__ is TypeVar else codes.get(id(r)) or code(r)
+            l = l.id << 1 if l.__class__ is TypeVar else codes.get(l) or code(l)
+            r = r.id << 1 if r.__class__ is TypeVar else codes.get(r) or code(r)
             if (l | r) > _SIDE:
                 raise ValueError(f"type variable ids must be below 2^39: {c}")
             key = (l << 40 | r) << 1 | isinstance(c, Sub)
@@ -142,9 +142,9 @@ class _State:
                 self._place(len(where), key)
 
     def code(self, ground: DecoratedSort) -> int:
-        c = self.codes.get(id(ground))  # decorated sorts are interned
+        c = self.codes.get(ground)  # decorated sorts are interned: an identity hash
         if c is None:
-            c = self.codes[id(ground)] = len(self.grounds) << 1 | 1
+            c = self.codes[ground] = len(self.grounds) << 1 | 1
             self.grounds.append(ground)
         return c
 

@@ -438,6 +438,50 @@ def test_json_writer_has_no_depth_limit():
     assert back == []
 
 
+def traced_infer_report(path: pathlib.Path) -> dict:
+    """The JSON entry of the first rule of ``infer --trace`` on ``path``."""
+    source = surface.parse(path.read_text("utf-8"))
+    _, report = cli.rule_report(surface.build_context(source), source.rules[0].rule, "infer", trace=True)
+    return cli.report_json(report, 1, str(path))
+
+
+ODD = dsort('Z"\\\n', 'l"\\\n')  # a sort and a decoration that JSON must escape
+SIDES = [Eq(TypeVar(1), dsort("Z", "l")), Sub(dsort("N"), TypeVar(2)), Sub(ODD, TypeVar(3)), Eq(TypeVar(4), ODD)]
+
+
+@pytest.mark.parametrize("value", [
+    [],
+    SIDES,
+    {"rules": [{"constraints": SIDES[::-1]}]},
+    {"constraints": [SIDES[0]], "lone": SIDES[2], "empty": []},
+    [SIDES[0], {"k": SIDES[1], "l": [SIDES[2], "text"]}, "s\"\n", SIDES[3], [SIDES[1]], None],
+    [ODD.sort.name, SIDES[2], 3],
+    traced_infer_report(FIXTURES / "example4.rules"),
+    traced_infer_report(FIXTURES / "lists.rules"),
+], ids=["empty", "depth-1", "depth-3", "lone", "mixed", "escapes", "traced-example4", "traced-lists"])
+def test_json_writer_joins_constraint_lists(value):
+    # Lists of constraints only are written in one join; the rest take the
+    # generic walk, and both print as json.dumps prints the plain dicts.
+    assert cli.json_text(value) == json.dumps(plain(value), ensure_ascii=False, indent=2)
+
+
+def test_traced_output_does_not_follow_the_hash_seed(fixtures_dir):
+    # Interned values hash by address and strings by the hash seed, so no
+    # output may follow a set's or a dict's hash order: two fresh processes
+    # under different seeds print the same bytes.
+    probe = ("import sys\nfrom ruletypes import cli\n"
+             "for name in sys.argv[1:]:\n"
+             "    for argv in (['solve', '--trace', '--format', 'json'], ['infer', '--trace']):\n"
+             "        print(argv, name, cli.run(argv + [name]), flush=True)\n")
+    names = ["example4.rules", "produce.rules", "lists.rules", "stuck.rules"]
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    runs = [subprocess.run([sys.executable, "-c", probe, *names], cwd=fixtures_dir, capture_output=True,
+                           env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}, check=True)
+            for seed in ("0", "1")]
+    assert runs[0].stdout.count(b"--trace") == 2 * len(names)
+    assert (runs[0].stdout, runs[0].stderr) == (runs[1].stdout, runs[1].stderr)
+
+
 def test_too_deep_nesting_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "deep.rules"
     path.write_text(SOURCE.format(pattern=nested(1000), ann="Z"))
