@@ -185,8 +185,8 @@ def derivation_json(d: Derivation) -> dict[str, Any]:
 
 def json_value(value: Any) -> Any:
     """A report value as ``json_text`` takes it: constraint sets, typing
-    contexts, derivations, substitutions, solver steps and errors become
-    dicts and lists; constraints, strings, ints and containers of them stay."""
+    contexts, derivations, solver steps and errors become dicts and lists;
+    constraints, substitutions, strings, ints and containers of them stay."""
     if isinstance(value, ConstraintSet):
         return list(value)
     if isinstance(value, (tuple, list)):
@@ -195,8 +195,6 @@ def json_value(value: Any) -> Any:
         return [{"name": n, "type": str(t)} for n, t in _typings(value)]
     if isinstance(value, Derivation):
         return derivation_json(value)
-    if isinstance(value, Substitution):
-        return [{"var": f"α{v}", "type": str(t)} for v, t in value.items()]
     if isinstance(value, solver.TraceStep):
         return {"rule": value.rule, "consumed": list(value.consumed), "produced": list(value.produced),
                 "bound": [{"var": f"α{v}", "type": str(t)} for v, t in value.bound]}
@@ -213,18 +211,22 @@ def report_json(report: dict[str, Any], index: int, where: str) -> dict[str, Any
 
 
 @functools.lru_cache(maxsize=64)  # bounded: a deep trace has a pad per level
-def _constraint_templates(pad: str) -> dict[type, str]:
-    """A constraint's JSON object at indent ``pad`` by class: a ``%`` template for its sides' ``_json``."""
-    return {cls: f'{{{pad}  "kind": "{kind}",{pad}  "lhs": %s,{pad}  "rhs": %s{pad}}}'
-            for cls, kind in ((Eq, "eq"), (Sub, "sub"))}
+def _templates(pad: str) -> dict[type, str]:
+    """``%`` templates of JSON objects at indent ``pad``: a constraint's by its
+    class, for its sides' ``_json``; a σ binding's under ``Substitution``, for
+    the variable's id and the image's ``_json``."""
+    return {Eq: f'{{{pad}  "kind": "eq",{pad}  "lhs": %s,{pad}  "rhs": %s{pad}}}',
+            Sub: f'{{{pad}  "kind": "sub",{pad}  "lhs": %s,{pad}  "rhs": %s{pad}}}',
+            Substitution: f'{{{pad}  "var": "α%d",{pad}  "type": %s{pad}}}'}
 
 
 def json_text(value: Any) -> str:
     """``json.dumps(value, ensure_ascii=False, indent=2)`` for a report (dicts
-    with string keys, lists, strings, ints, booleans, None, and constraints,
-    which print as ``constraint_json`` would), written in one pass with an
-    explicit stack, so that any nesting depth renders.  A non-empty list of
-    constraints is written in one join, from its sides' JSON literals."""
+    with string keys, lists, strings, ints, booleans, None, constraints, which
+    print as ``constraint_json`` would, and substitutions, as a list of
+    ``{"var", "type"}`` objects), written in one pass with an explicit stack,
+    so that any nesting depth renders.  A non-empty list of constraints, and
+    a substitution, is written in one join from its terms' JSON literals."""
     out: list[str] = []
     # The open container's (key, item) pairs left, kind and indent; the stack holds its parents'.
     pairs: Iterator[tuple[Any, Any]] = iter([(None, value)])
@@ -237,11 +239,15 @@ def json_text(value: Any) -> str:
             if isinstance(value, str):
                 out.append(encode_basestring(value))
             elif isinstance(value, Constraint):
-                out.append(_constraint_templates(pad)[value.__class__] % (value.lhs._json, value.rhs._json))
+                out.append(_templates(pad)[value.__class__] % (value.lhs._json, value.rhs._json))
             elif value.__class__ is list and value and {Eq, Sub}.issuperset(map(type, value)):
-                item = _constraint_templates(inner := pad + "  ")
+                item = _templates(inner := pad + "  ")
                 out.append("[" + inner + ("," + inner).join(
                     [item[c.__class__] % (c.lhs._json, c.rhs._json) for c in value]) + pad + "]")
+            elif isinstance(value, Substitution):
+                item = _templates(inner := pad + "  ")[Substitution]
+                out.append(("[" + inner + ("," + inner).join([item % (v, t._json) for v, t in value.items()])
+                            + pad + "]") if value else "[]")
             elif isinstance(value, (dict, list)):
                 stack.append((pairs, is_dict, pad))
                 is_dict = isinstance(value, dict)
@@ -389,10 +395,11 @@ def run(argv: list[str]) -> int:
         try:
             code, result = rule_report(ctx, decl.rule, args.command, budget, args.trace)
             output = render(result, index, where)
-        except (RuleError, RecursionError) as exc:
-            error = exc if isinstance(exc, RuleError) else RuleError(
-                ErrKind.TOO_DEEP, "rule", "the rule nests too deeply to process")
+        except RecursionError:
+            error = RuleError(ErrKind.TOO_DEEP, "rule", "the rule nests too deeply to process")
             code, output = 1, render({"outcome": "error", "error": error}, index, where)
+        except RuleError as exc:  # a name that outlived the block would hold its traceback, so this frame
+            code, output = 1, render({"outcome": "error", "error": exc}, index, where)
         codes.append(code)
         rendered.append(output)
 

@@ -424,14 +424,20 @@ class Substitution:
                if not (isinstance(image, TypeVar) and image.id == var)}
         normal: dict[int, TypeTerm] = {}
         for var, image in raw.items():
-            seen = {var}
+            path = {var: None}  # the chain walked; it stops at its end or at a variable already normal
             while isinstance(image, TypeVar) and image.id in raw:
-                if image.id in seen:
+                if image.id in path:
                     raise ValueError(f"cyclic substitution through α{image.id}")
-                seen.add(image.id)
-                image = raw[image.id]
-            normal[var] = image
+                path[image.id] = None
+                image = normal[image.id] if image.id in normal else raw[image.id]
+            normal.update(dict.fromkeys(path, image))
         object.__setattr__(self, "_map", normal)
+
+    @classmethod
+    def _unchecked(cls, normal: dict[int, TypeTerm]) -> Substitution:
+        """The substitution of a map that is normal already: no chains, no identity bindings."""
+        object.__setattr__(subst := object.__new__(cls), "_map", normal)
+        return subst
 
     def get(self, var: int) -> TypeTerm | None:
         return self._map.get(var)

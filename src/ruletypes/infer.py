@@ -73,29 +73,21 @@ InferError = RuleError  # a public name: callers catch inference errors under it
 
 def _names_in_order(rule: Rule) -> list[tuple[bool, str]]:
     # (is_star, name) pairs, first occurrence only, pattern before subject
-    # before action.
+    # before action: a walk in that order, with an explicit stack.
     seen: dict[tuple[bool, str], None] = {}
-
-    def walk_term(e: Term) -> None:
+    stack: list[Cond | Term] = [*reversed(rule.actions), rule.cond]
+    while stack:
+        e = stack.pop()
         if isinstance(e, Var):
             seen.setdefault((False, e.name))
         elif isinstance(e, StarVar):
             seen.setdefault((True, e.name))
         elif isinstance(e, (SynApp, ListApp)):
-            for a in e.args:
-                walk_term(a)
-
-    def walk_cond(c: Cond) -> None:
-        if isinstance(c, Match):
-            walk_term(c.pattern)
-            walk_term(c.subject)
-        elif isinstance(c, Conj):
-            for member in c.conds:
-                walk_cond(member)
-
-    walk_cond(rule.cond)
-    for action in rule.actions:
-        walk_term(action)
+            stack.extend(reversed(e.args))
+        elif isinstance(e, Match):
+            stack += (e.subject, e.pattern)
+        elif isinstance(e, Conj):
+            stack.extend(reversed(e.conds))
     return list(seen)
 
 

@@ -17,14 +17,19 @@ codes, the tags of hash-consing (Filliâtre and Conchon).  In one ``solve``
   per-variable buckets, and once patterns (1)–(3) have passed, every pair
   in a bucket qualifies: rules (6), (7) and (9)–(12) fire on bucket heads.
 - **One heap of candidates** ``(rule, slot, β or partner slot)``, checked at
-  the top.  Rules (1)–(5) are pushed on add; once the top is (6) or above,
-  the step pushes those of (6)–(14) on what changed since.  The heap and
-  the occurrence sets are built once the first failure scan has passed.
-- **The failure scan** pairs only the slots filled since the last scan with
-  their bucket partners, and takes the smallest failing pair.
+  the top: a step pops the candidate it consumes, and stale ones as they
+  surface.  Rules (1)–(5) are pushed on add; once the top is (6) or above,
+  the step pushes those of (6)–(14) on what changed since, except on
+  buckets emptied since.  The heap and the occurrence sets are built once the first
+  failure scan has passed.
+- **The failure scan** pairs the bounds and failing slots filled since the
+  last scan, the only ones it reads, with their bucket partners, and takes
+  the smallest failing pair; with none filled, it does not run.
 - **The trace is built when read**: ``trace`` decodes the step log, a tuple
   of ints per step, through a per-solve constraint cache seeded with the
-  input's.  σ, the witness and the residual are decoded at the end.
+  input's.  The witness and the residual are decoded at the end.  σ is
+  read off the log back to front: a bound variable leaves the set, so each
+  image resolves through later bindings alone, and σ comes out normal.
 
 The trace is that of a rescan of the whole list at every step, which the
 tests check against a reference copy.  Every step lowers the degree.
@@ -118,8 +123,9 @@ def _constraint(grounds: list[DecoratedSort], cache: dict[int, Constraint], key:
 
 
 class _State:
-    """The work list as stable slots and its indexes.  ``fresh``: the slots filled since the last
-    failure scan; ``dirty``, ``pending``: the buckets and bound slots changed since the last refresh."""
+    """The work list as stable slots and its indexes.  ``fresh``: the bounds and failing slots filled
+    since the last failure scan; ``dirty``, ``pending``: the buckets and bound slots changed since the
+    last refresh."""
 
     def __init__(self, ctx: Context, constraints: Iterable[Constraint]):
         self.ctx, items = ctx, list(constraints)
@@ -171,7 +177,8 @@ class _State:
         else:
             kind = _LOWER if not r & 1 else 3 if self.holds(l, r) else -4
         self.K[s], self.n, self.nsub = kind, self.n + 1, self.nsub + sub
-        self.fresh.append(s)
+        if kind == _LOWER or kind == _UPPER or kind < 0:  # what the scan reads
+            self.fresh.append(s)
         if kind >= _LOWER:
             for home in _homes(kind, l, r):
                 insort(self.buckets[home[0]].setdefault(home[1], []), s)
@@ -198,8 +205,8 @@ class _State:
                 del bucket[bisect_left(bucket, s)]
                 self.dirty.add(home)
         for v in (l, r):
-            if not v & 1:
-                occ = self.occ[v]
+            occ = self.occ.get(v)  # none for a ground, or for the variable being bound
+            if occ is not None:
                 occ.discard(s)
                 if len(occ) == 1:  # the last occurrence may now fire (13)/(14)
                     self.pending.extend(occ)
@@ -221,9 +228,9 @@ class _State:
 
     def _refresh(self) -> None:
         """Push the candidates of (6)–(14) on what changed since the last push."""
-        heap, K, L, R, occ = self.heap, self.K, self.L, self.R, self.occ
+        heap, K, L, R, occ, buckets = self.heap, self.K, self.L, self.R, self.occ, self.buckets
         for bucket, v in self.dirty:
-            for rule in _TOUCHING[bucket]:
+            for rule in _TOUCHING[bucket] if buckets[bucket].get(v) else ():  # an emptied bucket has no pair
                 if (pair := self._pair(rule, v)) is not None:
                     heappush(heap, (rule, pair[0], v))
         self.dirty.clear()
@@ -241,10 +248,8 @@ class _State:
         self.pending.clear()
 
     def _match(self, rule: int, s: int, v: int) -> tuple[int, ...] | None:
-        """The slots ``rule`` consumes on the candidate ``(s, v)``; ``None`` when it is stale."""
+        """The slots ``rule`` (6 or above) consumes on the candidate ``(s, v)``; ``None`` when it is stale."""
         kind = self.K[s]
-        if rule < 6:
-            return (s,) if kind == rule else None
         if rule in _PAIRS:
             pair = self._pair(rule, v)
             return pair if pair is not None and pair[0] == s else None
@@ -278,16 +283,19 @@ class _State:
     def step(self) -> bool:
         """Apply the lowest-numbered rule at its first match and log it, or
         return ``False`` when no rule applies."""
-        heap = self.heap
-        while heap and heap[0][0] < 6 and (slots := self._match(*heap[0])) is None:
-            heappop(heap)
-        if not heap or heap[0][0] >= 6:
+        heap, keys, L, R, K = self.heap, self.keys, self.L, self.R, self.K
+        while heap and heap[0][0] < 6:
+            rule, s, _ = heappop(heap)  # a live one is consumed here, a stale one dropped
+            if K[s] == rule:
+                slots = (s,)
+                break
+        else:
             self._refresh()
             while heap and (slots := self._match(*heap[0])) is None:
                 heappop(heap)
             if not heap:
                 return False
-        rule, keys, L, R, K = heap[0][0], self.keys, self.L, self.R, self.K
+            rule = heappop(heap)[0]
         ci, cj = slots[0], slots[-1]
         label, made, var, image = rule, -1, -1, 0  # the label as ``trace`` prints it, after ``str``
         if rule == 4 or rule == 13:
@@ -320,6 +328,14 @@ class _State:
     def decode(self, slots: Iterable[int]) -> tuple[Constraint, ...]:
         return tuple(_constraint(self.grounds, self.cache, self.keys[s]) for s in slots)
 
+    def subst(self) -> Substitution:
+        """σ, read off the log back to front: normal already (see the module docstring)."""
+        sigma: dict[int, int] = {}  # by codes
+        for _, _, _, _, var, image, _, _ in reversed(self.log):
+            if var >= 0:
+                sigma[var] = sigma.get(image, image)
+        return Substitution._unchecked({var >> 1: _term(self.grounds, image) for var, image in sigma.items()})
+
 
 def detect_failure(ctx: Context, constraints: Iterable[Constraint]) -> tuple[int, tuple[Constraint, ...]] | None:
     """Scan for the five unsatisfiability patterns; the first hit, in rule
@@ -343,9 +359,9 @@ def solve(ctx: Context, constraints: ConstraintSet | Iterable[Constraint]) -> So
         if not state.step():
             outcome = Stuck._unchecked(ConstraintSet(state.decode(s for s, kind in enumerate(state.K) if kind)))
             break
-        hit = state.failure()
+        hit = state.failure() if state.fresh else None
     else:
         outcome = Failed._unchecked(hit[0], state.decode(hit[1])) if hit is not None else Solved._unchecked(
-            Substitution((var >> 1, _term(state.grounds, image)) for *_, var, image, _, _ in state.log if var >= 0))
+            state.subst())
     object.__setattr__(outcome, "_log", (state.log, state.grounds, state.cache))  # the trace, undecoded
     return outcome

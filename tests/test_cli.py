@@ -3,6 +3,7 @@ and the list rules, one exit code per outcome, verdicts on very wide lists,
 and diagnostics instead of a traceback on very deep nesting or a closed
 pipe."""
 
+import gc
 import itertools
 import json
 import os
@@ -17,7 +18,7 @@ from hypothesis import given, strategies as st
 
 import support
 from ruletypes import cli, solver, surface
-from ruletypes.core import RULE_LABELS, Constraint, Derivation, Eq, Sub, TypeVar, dsort
+from ruletypes.core import RULE_LABELS, Constraint, Derivation, Eq, Sub, Substitution, TypeVar, dsort
 
 
 GOLDEN_RUNS = [
@@ -411,9 +412,12 @@ reports = st.recursive(
 
 
 def plain(value):
-    """``value`` with every constraint replaced by its JSON dict."""
+    """``value`` with every constraint replaced by its JSON dict, and every
+    substitution by its list of ``{"var", "type"}`` dicts."""
     if isinstance(value, Constraint):
         return cli.constraint_json(value)
+    if isinstance(value, Substitution):
+        return [{"var": f"α{v}", "type": str(t)} for v, t in value.items()]
     if isinstance(value, list):
         return [plain(v) for v in value]
     if isinstance(value, dict):
@@ -438,15 +442,16 @@ def test_json_writer_has_no_depth_limit():
     assert back == []
 
 
-def traced_infer_report(path: pathlib.Path) -> dict:
-    """The JSON entry of the first rule of ``infer --trace`` on ``path``."""
+def traced_report(path: pathlib.Path, command: str) -> dict:
+    """The JSON entry of the first rule of ``command --trace`` on ``path``."""
     source = surface.parse(path.read_text("utf-8"))
-    _, report = cli.rule_report(surface.build_context(source), source.rules[0].rule, "infer", trace=True)
+    _, report = cli.rule_report(surface.build_context(source), source.rules[0].rule, command, trace=True)
     return cli.report_json(report, 1, str(path))
 
 
 ODD = dsort('Z"\\\n', 'l"\\\n')  # a sort and a decoration that JSON must escape
 SIDES = [Eq(TypeVar(1), dsort("Z", "l")), Sub(dsort("N"), TypeVar(2)), Sub(ODD, TypeVar(3)), Eq(TypeVar(4), ODD)]
+SIGMA = Substitution({3: TypeVar(1), 2: ODD, 12: dsort("Z", "l"), 7: dsort("N")})  # variable and ground images
 
 
 @pytest.mark.parametrize("value", [
@@ -456,12 +461,20 @@ SIDES = [Eq(TypeVar(1), dsort("Z", "l")), Sub(dsort("N"), TypeVar(2)), Sub(ODD, 
     {"constraints": [SIDES[0]], "lone": SIDES[2], "empty": []},
     [SIDES[0], {"k": SIDES[1], "l": [SIDES[2], "text"]}, "s\"\n", SIDES[3], [SIDES[1]], None],
     [ODD.sort.name, SIDES[2], 3],
-    traced_infer_report(FIXTURES / "example4.rules"),
-    traced_infer_report(FIXTURES / "lists.rules"),
-], ids=["empty", "depth-1", "depth-3", "lone", "mixed", "escapes", "traced-example4", "traced-lists"])
+    traced_report(FIXTURES / "example4.rules", "infer"),
+    traced_report(FIXTURES / "lists.rules", "infer"),
+    Substitution(),
+    SIGMA,
+    {"rules": [{"substitution": SIGMA, "empty": Substitution()}]},
+    [SIGMA, [SIDES[0]], SIDES[1]],
+    traced_report(FIXTURES / "example4.rules", "solve"),
+    traced_report(FIXTURES / "produce.rules", "solve"),
+], ids=["empty", "depth-1", "depth-3", "lone", "mixed", "escapes", "traced-example4", "traced-lists",
+        "empty-subst", "subst", "subst-depth-3", "subst-beside-constraints", "solved-example4", "solved-produce"])
 def test_json_writer_joins_constraint_lists(value):
-    # Lists of constraints only are written in one join; the rest take the
-    # generic walk, and both print as json.dumps prints the plain dicts.
+    # Lists of constraints only, and substitutions, are written in one join;
+    # the rest take the generic walk, and all print as json.dumps prints the
+    # plain dicts.
     assert cli.json_text(value) == json.dumps(plain(value), ensure_ascii=False, indent=2)
 
 
@@ -480,6 +493,33 @@ def test_traced_output_does_not_follow_the_hash_seed(fixtures_dir):
             for seed in ("0", "1")]
     assert runs[0].stdout.count(b"--trace") == 2 * len(names)
     assert (runs[0].stdout, runs[0].stderr) == (runs[1].stdout, runs[1].stderr)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command, name", [
+    ("check", "example2.rules"),  # well-typed
+    ("check", "lists.rules"),  # rejected
+    ("infer", "example2.rules"),
+    ("solve", "example2.rules"),  # failed
+    ("solve", "example4.rules"),  # solved
+    ("solve", "produce.rules"),  # solved
+    ("solve", "stuck.rules"),  # stuck
+])
+def test_cli_op_leaves_no_cyclic_garbage(capsys, fixtures_dir, command, name, fmt):
+    # An object in a reference cycle waits for the cyclic collector, and keeps
+    # everything it reaches alive until then.
+    argv = [command, str(fixtures_dir / name), "--format", fmt]
+    cli.run(argv)  # first-use caches are kept, not garbage
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        cli.run(argv)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
 
 
 def test_too_deep_nesting_is_a_parse_error(capsys, tmp_path):

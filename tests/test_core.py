@@ -84,6 +84,38 @@ def test_cyclic_substitution_rejected():
         Substitution({1: a(2), 2: a(1)})
 
 
+def naive_normal(mapping: dict) -> dict:
+    """A reference normalizer: each variable's chain walked afresh, with a seen set of its own."""
+    raw = {var: image for var, image in mapping.items() if image != a(var)}
+    normal = {}
+    for var, image in raw.items():
+        seen = {var}
+        while isinstance(image, TypeVar) and image.id in raw:
+            if image.id in seen:
+                raise ValueError(f"cyclic substitution through α{image.id}")
+            seen.add(image.id)
+            image = raw[image.id]
+        normal[var] = image
+    return normal
+
+
+# Few variables, mostly variable images: chains, identity bindings and cycles are all common.
+mappings = st.dictionaries(st.integers(0, 6), st.sampled_from([*map(a, range(8)), g("Z"), g("N", "one")]),
+                           max_size=7)
+
+
+@given(mappings)
+def test_substitution_normalizes_as_the_reference(mapping):
+    try:
+        expected = naive_normal(mapping)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            Substitution(mapping)
+        assert str(raised.value) == str(exc)
+    else:
+        assert Substitution(mapping).items() == sorted(expected.items())
+
+
 def test_items_sorted_by_variable():
     s = Substitution({7: g("Z"), 2: g("N")})
     assert [v for v, _ in s.items()] == [2, 7]

@@ -8,7 +8,7 @@ import pytest
 import support
 from support import a, g, wide_rule
 
-from ruletypes import ConstraintSet, Eq, Sub, subst_satisfies
+from ruletypes import ConstraintSet, Eq, Sub, Substitution, subst_satisfies
 from ruletypes.core import DecoratedSort
 from ruletypes.infer import FreshSupply, infer_rule, init_context
 from ruletypes.oracle import enumerate_solutions, gen_constraints
@@ -193,6 +193,18 @@ def test_termination_and_soundness_on_random_sets():
         else:
             stuck += 1
     assert stuck <= 8  # rare var/ground bound mixes the rules leave open
+
+
+def test_solved_subst_is_the_logged_bindings_normalized():
+    # σ is built in one pass over the log; ``Substitution`` normalizes the same bindings afresh.
+    solved = 0
+    for seed in range(500):
+        ctx, constraints = gen_constraints(seed)
+        outcome = solve(ctx, constraints)
+        if isinstance(outcome, Solved):
+            solved += 1
+            assert outcome.subst == Substitution(b for step in outcome.trace for b in step.bound), seed
+    assert solved > 100
 
 
 def test_solving_is_deterministic(gamma_ex):
