@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from typing import Callable, Union
 
-from .context import ELEM, STAR, Context, ErrKind, RuleError
+from .context import ELEM, STAR, Context, ErrKind, RuleError, within
 from .core import (
+    ANY,
     Cond,
     Conj,
     DecoratedSort,
@@ -31,7 +32,10 @@ from .core import (
     Value,
     Var,
     WT,
+    interned,
 )
+
+_decorated = interned(DecoratedSort)
 
 
 class WellTyped(Derived):
@@ -54,76 +58,81 @@ CheckOutcome = Union[WellTyped, CheckErr]
 # ---------------------------------------------------------------------------
 # Decorated system
 
-def _declared_dsort(ctx: Context, e: Term, path: str, star_ok: bool = False) -> DecoratedSort:
-    tt = ctx.declared_typing(e, path, star_ok)
+def _declared_dsort(ctx: Context, e: Term, star_ok: bool = False) -> DecoratedSort:
+    tt = ctx.declared_typing(e, star_ok)
     if isinstance(tt, DecoratedSort):
         return tt
-    raise RuleError(ErrKind.UNDECLARED_VARIABLE, path,
+    raise RuleError(ErrKind.UNDECLARED_VARIABLE, "",
                     f"{e} is typed by a type variable; checking needs a ground typing")
 
 
-def _coerce(ctx: Context, e: Term, t: DecoratedSort, expected: DecoratedSort, path: str,
-            out: list[Record]) -> None:
-    if t == expected:
-        return
+def _coerce(ctx: Context, e: Term, t: DecoratedSort, expected: DecoratedSort, out: list[Record]) -> None:
     structural = t
-    if expected.deco.is_any and not t.deco.is_any:
+    if expected.deco is ANY and t.deco is not ANY:
         # Decoration erasure applies only to a term sitting at its own
         # declared type, with a real operator decoration.
-        t = DecoratedSort(t.sort)
+        t = _decorated[t.sort, ANY]
         out.append(("Gen", e, t, 1, None))
-        if t == expected:
+        if t is expected:
             return
     if ctx.subtype_holds(t, expected):
         out.append(("Sub", e, expected, 1, None))
         return
-    raise RuleError(ErrKind.NOT_SUBTYPE, path, f"cannot use {structural} where {expected} is required")
+    raise RuleError(ErrKind.NOT_SUBTYPE, "", f"cannot use {structural} where {expected} is required")
 
 
-def _check(ctx: Context, e: Term, expected: DecoratedSort, path: str, out: list[Record],
-           star_ok: bool = False) -> None:
+def _check(ctx: Context, e: Term, expected: DecoratedSort, out: list[Record], star_ok: bool = False) -> None:
     # One call per nesting level: the structural type t, then its coercion.
-    if isinstance(e, (Var, StarVar)):
-        t = _declared_dsort(ctx, e, path, star_ok)
-        out.append(("T-Var" if isinstance(e, Var) else "T-SVar", e, t, 0, None))
-    elif isinstance(e, SynApp):
-        rank = ctx.syn_rank(e, path)
-        for i, arg in enumerate(e.args):
-            _check(ctx, arg, rank.domain[i], f"{path}.arg[{i}]", out)
+    # Reads the context's tables; its diagnosis methods run only if that fails.
+    cls = e.__class__
+    if cls is Var or cls is StarVar:
+        t = _declared_dsort(ctx, e, star_ok)
+        out.append(("T-Var" if cls is Var else "T-SVar", e, t, 0, None))
+    elif cls is SynApp:
+        rank, args = ctx._syn_ranks.get(e.op), e.args
+        if rank is None or len(args) != len(rank.domain):
+            rank = ctx.syn_rank(e)  # the diagnosis: it raises
+        try:
+            for i, arg in enumerate(args):
+                _check(ctx, arg, rank.domain[i], out)
+        except RuleError as exc:
+            ctx.syn_rank(e)  # a star argument is e's own defect, diagnosed first
+            raise exc.prefix(f".arg[{i}]")
         t = rank.codomain
-        out.append(("T-Fun", e, t, len(e.args), None))
-    elif isinstance(e, ListApp):
-        rank = ctx.var_rank(e, path)
+        out.append(("T-Fun", e, t, len(args), None))
+    elif cls is ListApp:
+        rank = ctx._var_ranks.get(e.op) or ctx.var_rank(e)
         t = rank.codomain
         steps = list(enumerate(ctx.list_steps(e)))
-        # Every star's declared type is checked before any element, rightmost
-        # first: T-Merge checks its own star before its spine premise.
-        for i, (arg, step) in reversed(steps):
-            if step == STAR:
-                arg_path = f"{path}.arg[{i}]"
-                declared = _declared_dsort(ctx, arg, arg_path, star_ok=True)
-                if declared != t:
-                    raise RuleError(ErrKind.EXPECTED_LIST_TYPE, arg_path,
+        try:
+            # Every star's declared type is checked before any element, rightmost
+            # first: T-Merge checks its own star before its spine premise.
+            for i, (arg, step) in reversed(steps):
+                if step == STAR and (declared := _declared_dsort(ctx, arg, star_ok=True)) is not t:
+                    raise RuleError(ErrKind.EXPECTED_LIST_TYPE, "",
                                     f"star variable {arg} is typed {declared}, but {e.op} builds {t}")
-        out.append(("T-Empty", (e, 0), t, 0, None))
-        for i, (arg, step) in steps:
-            _check(ctx, arg, rank.elem if step == ELEM else t, f"{path}.arg[{i}]", out, star_ok=True)
-            out.append(("T-Elem" if step == ELEM else "T-Merge", (e, i + 1), t, 2, None))
+            out.append(("T-Empty", (e, 0), t, 0, None))
+            for i, (arg, step) in steps:
+                _check(ctx, arg, rank.elem if step == ELEM else t, out, star_ok=True)
+                out.append(("T-Elem" if step == ELEM else "T-Merge", (e, i + 1), t, 2, None))
+        except RuleError as exc:
+            raise exc.prefix(f".arg[{i}]")
     else:
         raise TypeError(f"unexpected term {e!r}")
-    _coerce(ctx, e, t, expected, path, out)
+    if t is not expected:
+        _coerce(ctx, e, t, expected, out)
 
 
-def _check_cond(ctx: Context, c: Cond, path: str, out: list[Record]) -> None:
+def _check_cond(ctx: Context, c: Cond, out: list[Record]) -> None:
     if isinstance(c, Match):
         if not isinstance(c.at, DecoratedSort):
-            raise ValueError(f"checking needs a ground match annotation at {path}, got {c.at}")
-        _check(ctx, c.pattern, c.at, f"{path}.pattern", out)
-        _check(ctx, c.subject, c.at, f"{path}.subject", out)
+            raise ValueError(f"checking needs a ground match annotation, got {c.at}")
+        within(".pattern", _check, ctx, c.pattern, c.at, out)
+        within(".subject", _check, ctx, c.subject, c.at, out)
         out.append(("T-Match", c, WT, 2, None))
     elif isinstance(c, Conj):
         for i, member in enumerate(c.conds):
-            _check_cond(ctx, member, f"{path}[{i}]", out)
+            within(("[%d]", i), _check_cond, ctx, member, out)
         out.append(("T-Conj", c, WT, len(c.conds), None))
     else:
         raise TypeError(f"unexpected condition {c!r}")
@@ -140,19 +149,19 @@ def _verdict(walk: Callable[..., None], *args) -> CheckOutcome:
 
 def check_term(ctx: Context, e: Term, expected: DecoratedSort) -> CheckOutcome:
     """Check one term against an expected decorated sort."""
-    return _verdict(_check, ctx, e, expected, "term")
+    return _verdict(within, "term", _check, ctx, e, expected)
 
 
 def check_cond(ctx: Context, c: Cond) -> CheckOutcome:
     """Check a condition: both sides of every match against its annotation."""
-    return _verdict(_check_cond, ctx, c, "cond")
+    return _verdict(within, "cond", _check_cond, ctx, c)
 
 
 def _check_rule(ctx: Context, r: Rule, out: list[Record]) -> None:
-    _check_cond(ctx, r.cond, "cond", out)
+    within("cond", _check_cond, ctx, r.cond, out)
     for i, action in enumerate(r.actions):
-        path = f"action[{i}]"
-        _check(ctx, action, _declared_dsort(ctx, action, path), path, out)
+        step = ("action[%d]", i)
+        within(step, _check, ctx, action, within(step, _declared_dsort, ctx, action), out)
     out.append(("T-Rule", r, WT, 1 + len(r.actions), None))
 
 

@@ -73,7 +73,7 @@ def rule_report(ctx: Context, rule: Rule, command: str, oracle_budget: int | Non
             found = oracle.enumerate_solutions(
                 gamma, verdict.constraints, budget=oracle_budget, limit=1)
         except oracle.BudgetExceeded as exc:
-            report["oracle"] = exc
+            report["oracle"] = exc.with_traceback(None)  # its traceback would hold this frame, and so the report
             return 5, report
         report["oracle"] = "satisfiable" if found else "unsatisfiable"
         if code != 4 and (code == 0) != bool(found):
@@ -184,15 +184,15 @@ def derivation_json(d: Derivation) -> dict[str, Any]:
 
 
 def json_value(value: Any) -> Any:
-    """A report value as ``json_text`` takes it: constraint sets, typing
-    contexts, derivations, solver steps and errors become dicts and lists;
-    constraints, substitutions, strings, ints and containers of them stay."""
+    """A report value as ``json_text`` takes it: constraint sets, derivations,
+    solver steps and errors become dicts and lists; constraints (tested before
+    tuples: each is a pair), typing contexts, substitutions, strings and ints stay."""
     if isinstance(value, ConstraintSet):
         return list(value)
+    if isinstance(value, Constraint):
+        return value
     if isinstance(value, (tuple, list)):
         return [json_value(v) for v in value]
-    if isinstance(value, Context):
-        return [{"name": n, "type": str(t)} for n, t in _typings(value)]
     if isinstance(value, Derivation):
         return derivation_json(value)
     if isinstance(value, solver.TraceStep):
@@ -214,19 +214,20 @@ def report_json(report: dict[str, Any], index: int, where: str) -> dict[str, Any
 def _templates(pad: str) -> dict[type, str]:
     """``%`` templates of JSON objects at indent ``pad``: a constraint's by its
     class, for its sides' ``_json``; a σ binding's under ``Substitution``, for
-    the variable's id and the image's ``_json``."""
+    the variable's id and the image's ``_json``; a typing's under ``Context``."""
     return {Eq: f'{{{pad}  "kind": "eq",{pad}  "lhs": %s,{pad}  "rhs": %s{pad}}}',
             Sub: f'{{{pad}  "kind": "sub",{pad}  "lhs": %s,{pad}  "rhs": %s{pad}}}',
-            Substitution: f'{{{pad}  "var": "α%d",{pad}  "type": %s{pad}}}'}
+            Substitution: f'{{{pad}  "var": "α%d",{pad}  "type": %s{pad}}}',
+            Context: f'{{{pad}  "name": %s,{pad}  "type": %s{pad}}}'}
 
 
 def json_text(value: Any) -> str:
     """``json.dumps(value, ensure_ascii=False, indent=2)`` for a report (dicts
     with string keys, lists, strings, ints, booleans, None, constraints, which
-    print as ``constraint_json`` would, and substitutions, as a list of
-    ``{"var", "type"}`` objects), written in one pass with an explicit stack,
-    so that any nesting depth renders.  A non-empty list of constraints, and
-    a substitution, is written in one join from its terms' JSON literals."""
+    print as ``constraint_json`` would, and substitutions and typing contexts,
+    as lists of ``{"var", "type"}`` and ``{"name", "type"}`` objects), written
+    in one pass with an explicit stack, so that any nesting depth renders.  A
+    non-empty list of constraints, a σ or a Γ is written in one join."""
     out: list[str] = []
     # The open container's (key, item) pairs left, kind and indent; the stack holds its parents'.
     pairs: Iterator[tuple[Any, Any]] = iter([(None, value)])
@@ -244,10 +245,11 @@ def json_text(value: Any) -> str:
                 item = _templates(inner := pad + "  ")
                 out.append("[" + inner + ("," + inner).join(
                     [item[c.__class__] % (c.lhs._json, c.rhs._json) for c in value]) + pad + "]")
-            elif isinstance(value, Substitution):
-                item = _templates(inner := pad + "  ")[Substitution]
-                out.append(("[" + inner + ("," + inner).join([item % (v, t._json) for v, t in value.items()])
-                            + pad + "]") if value else "[]")
+            elif isinstance(value, (Substitution, Context)):
+                item = _templates(inner := pad + "  ")[value.__class__]
+                rows = ([item % (v, t._json) for v, t in value.items()] if isinstance(value, Substitution)
+                        else [item % (encode_basestring(n), t._json) for n, t in _typings(value)])
+                out.append("[" + inner + ("," + inner).join(rows) + pad + "]" if rows else "[]")
             elif isinstance(value, (dict, list)):
                 stack.append((pairs, is_dict, pad))
                 is_dict = isinstance(value, dict)

@@ -9,10 +9,9 @@ shared across threads.
 
 from __future__ import annotations
 
-import copy
 import enum
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Union
 
 from .core import (
     ANY,
@@ -100,13 +99,33 @@ class ErrKind(enum.Enum):
 class RuleError(Exception):
     """A rule or term that gets no verdict: the kind of defect, the path of
     the offending subterm, and a detail.  Checking, inference and the CLI
-    all raise it."""
+    all raise it.  The path is relative to the node that raised it until a
+    walk prefixes it: each level adds its own step (:meth:`prefix`, or
+    :func:`within`) as the error unwinds, so an accepted rule spells no path."""
 
     def __init__(self, kind: ErrKind, path: str, detail: str):
-        super().__init__(f"{kind} at {path}: {detail}")
+        super().__init__(kind, path, detail)
         self.kind = kind
         self.path = path
         self.detail = detail
+
+    def prefix(self, step: str) -> RuleError:
+        """This error with ``step`` (``.arg[0]``, ``cond``, …) prefixed to its path."""
+        self.path = step + self.path
+        self.args = (self.kind, self.path, self.detail)  # as repr and pickle read it
+        return self
+
+    def __str__(self) -> str:
+        return f"{self.kind} at {self.path}: {self.detail}"
+
+
+def within(step: str | tuple[str, int], walk: Callable[..., Any], *args) -> Any:
+    """``walk(*args)``, with ``step`` prefixed to the path of the RuleError it
+    raises; a step ``(template, i)`` is formatted only then."""
+    try:
+        return walk(*args)
+    except RuleError as exc:
+        raise exc.prefix(step if step.__class__ is str else step[0] % step[1])
 
 
 # The list rules' step for one argument of a variadic application.
@@ -208,13 +227,19 @@ class Context:
     # -- queries ------------------------------------------------------------
 
     def sort_leq(self, s1: Sort, s2: Sort) -> bool:
-        """Reflexive-transitive closure of the declared subsort edges."""
-        return s2 in self.supersort_chain(s1)
+        """Reflexive-transitive closure of the declared subsort edges: ``s2`` is
+        on ``supersort_chain(s1)``, walked in at most one step per parent edge."""
+        parent, steps = self._parent, len(self._parent)
+        while s1 is not s2:
+            if not steps or (s1 := parent.get(s1)) is None:
+                return False
+            steps -= 1
+        return True
 
     def subtype_holds(self, a: DecoratedSort, b: DecoratedSort) -> bool:
         """The decorated order: sorts related by the closure and decorations
         equal, unless the target decoration is the don't-care one."""
-        return self.sort_leq(a.sort, b.sort) and (a.deco == b.deco or b.deco.is_any)
+        return (a.deco is b.deco or b.deco is ANY) and self.sort_leq(a.sort, b.sort)
 
     def supersort_chain(self, s: Sort) -> tuple[Sort, ...]:
         """``s`` and its ancestors: the walk from ``s`` along first-declared
@@ -244,17 +269,13 @@ class Context:
         """The declared type term of a term's head: the full typing for
         variables (ground or type variable), the rank codomain for
         applications."""
-        if isinstance(e, Var):
+        cls = e.__class__
+        if cls is Var:
             return self._var_types.get(e.name)
-        if isinstance(e, StarVar):
+        if cls is StarVar:
             return self._star_types.get(e.name)
-        if isinstance(e, SynApp):
-            rank = self._syn_ranks.get(e.op)
-            return rank.codomain if rank else None
-        if isinstance(e, ListApp):
-            rank = self._var_ranks.get(e.op)
-            return rank.codomain if rank else None
-        return None
+        rank = self._syn_ranks.get(e.op) if cls is SynApp else self._var_ranks.get(e.op) if cls is ListApp else None
+        return rank.codomain if rank else None
 
     def with_typings(
         self,
@@ -263,29 +284,30 @@ class Context:
     ) -> "Context":
         """The same sorts, subsort declarations and ranks with other
         variable and star-variable typings."""
-        ctx = copy.copy(self)
+        ctx = object.__new__(self.__class__)
+        ctx.__dict__.update(self.__dict__)
         ctx._construction_violations = []  # the ranks' were reported for self
         ctx._set_typings(var_types, star_types)
         return ctx
 
-    def declared_typing(self, e: Term, path: str, star_ok: bool = False) -> TypeTerm:
-        """The declared type term of ``e``'s head at ``path`` (see
-        :meth:`raw_typing`), or the diagnosis of why it has none.
+    def declared_typing(self, e: Term, star_ok: bool = False) -> TypeTerm:
+        """The declared type term of ``e``'s head (see :meth:`raw_typing`),
+        or the diagnosis, at ``e``, of why it has none.
 
         A star variable stands for a list segment, so outside a list
         (``star_ok`` false) it is ``STAR_OUTSIDE_LIST`` before its typing is
         looked up; a head with no typing is ``UNDECLARED_VARIABLE``.
         """
         if isinstance(e, StarVar) and not star_ok:
-            raise RuleError(ErrKind.STAR_OUTSIDE_LIST, path,
+            raise RuleError(ErrKind.STAR_OUTSIDE_LIST, "",
                             f"star variable {e} may only appear directly inside a list application")
         tt = self.raw_typing(e)
         if tt is None:
-            raise RuleError(ErrKind.UNDECLARED_VARIABLE, path, f"{e} has no declared type")
+            raise RuleError(ErrKind.UNDECLARED_VARIABLE, "", f"{e} has no declared type")
         return tt
 
-    def syn_rank(self, e: SynApp, path: str) -> SynRank:
-        """The rank of a syntactic application at ``path``, or the diagnosis
+    def syn_rank(self, e: SynApp) -> SynRank:
+        """The rank of a syntactic application, or the diagnosis, at ``e``,
         of why it has none that fits.
 
         The order is fixed: an operator with no rank is ``NO_RANK``; then a
@@ -296,21 +318,21 @@ class Context:
         """
         rank = self._syn_ranks.get(e.op)
         if rank is None:
-            raise RuleError(ErrKind.NO_RANK, path, f"operator {e.op} has no declared rank")
+            raise RuleError(ErrKind.NO_RANK, "", f"operator {e.op} has no declared rank")
         for i, arg in enumerate(e.args):
             if isinstance(arg, StarVar):
-                raise RuleError(ErrKind.STAR_OUTSIDE_LIST, f"{path}.arg[{i}]",
+                raise RuleError(ErrKind.STAR_OUTSIDE_LIST, f".arg[{i}]",
                                 f"star variable {arg} inside a syntactic application")
         if len(e.args) != len(rank.domain):
-            raise RuleError(ErrKind.ARITY_MISMATCH, path,
+            raise RuleError(ErrKind.ARITY_MISMATCH, "",
                             f"{e.op} expects {len(rank.domain)} arguments, got {len(e.args)}")
         return rank
 
-    def var_rank(self, e: ListApp, path: str) -> VariadicRank:
-        """The rank of a variadic application at ``path``, or ``NO_RANK``."""
+    def var_rank(self, e: ListApp) -> VariadicRank:
+        """The rank of a variadic application, or ``NO_RANK`` at ``e``."""
         rank = self._var_ranks.get(e.op)
         if rank is None:
-            raise RuleError(ErrKind.NO_RANK, path, f"variadic operator {e.op} has no declared rank")
+            raise RuleError(ErrKind.NO_RANK, "", f"variadic operator {e.op} has no declared rank")
         return rank
 
     def list_steps(self, e: ListApp) -> Iterator[tuple[Term, str]]:
@@ -318,9 +340,9 @@ class Context:
         argument, left to right, the argument and its step (``STAR``,
         ``MERGE`` or ``ELEM``); step ``i`` completes the prefix of ``i + 1``
         arguments.  The operator of ``e`` must have a rank."""
-        codomain = self._var_ranks[e.op].codomain
+        codomain, raw_typing = self._var_ranks[e.op].codomain, self.raw_typing
         for arg in e.args:
-            yield arg, STAR if isinstance(arg, StarVar) else MERGE if self.sortof(arg) == codomain else ELEM
+            yield arg, STAR if arg.__class__ is StarVar else MERGE if raw_typing(arg) is codomain else ELEM
 
 
 def validate(ctx: Context) -> list[Violation]:

@@ -10,12 +10,13 @@ read).  Sorts, decorations, decorated sorts and type variables are
 hash-consed (:class:`Interned`, a :class:`Value`), in per-class tables
 bounded by the names declared and the largest type-variable id; they hash
 by identity, and their text and its JSON string literal are computed once.
-A ground type term is its decorated sort.  Constraints hash once, when made.
+A ground type term is its decorated sort; a constraint is a pair, hashed in C.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -314,35 +315,32 @@ class Rule(Value):
 # ---------------------------------------------------------------------------
 # Constraints
 
-class Constraint(Value):
-    """Base class for constraints: immutable, equal when of one class with the
-    same (interned) sides, and never holding ``wt``."""
+class Constraint(Value, tuple):
+    """Base class for constraints: the pair ``(lhs, rhs)`` of interned sides,
+    hashed as that tuple, equal when of one class with the same sides, never
+    holding ``wt``.  A maker that cannot produce ``wt`` skips that check, and
+    every Python call, with ``tuple.__new__(Eq, (lhs, rhs))``."""
 
-    __slots__ = ("lhs", "rhs", "_hash")
+    __slots__ = ()
     _fields = ("lhs", "rhs")
-    lhs: TypeTerm
-    rhs: TypeTerm
+    lhs = property(itemgetter(0))
+    rhs = property(itemgetter(1))
 
-    def __init__(self, lhs: TypeTerm, rhs: TypeTerm):
+    def __new__(cls, lhs: TypeTerm, rhs: TypeTerm):
         if isinstance(lhs, WtType) or isinstance(rhs, WtType):
             raise ValueError("wt cannot appear inside a constraint")
-        _set_lhs(self, lhs)
-        _set_rhs(self, rhs)
-        _set_hash(self, hash((lhs, rhs)))
+        return tuple.__new__(cls, (lhs, rhs))
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and other.lhs is self.lhs and other.rhs is self.rhs
+        return other.__class__ is self.__class__ and other[0] is self[0] and other[1] is self[1]
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
 
     def __str__(self) -> str:
-        return f"{self.lhs} {self._op} {self.rhs}"
-
-
-# The slots' own setters, which cost half of ``object.__setattr__``: inference
-# and the solver make constraints in their inner loops.
-_set_lhs, _set_rhs, _set_hash = Constraint.lhs.__set__, Constraint.rhs.__set__, Constraint._hash.__set__
+        return f"{self[0]} {self._op} {self[1]}"
 
 
 class Eq(Constraint):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .context import ELEM, Context, RuleError
+from .context import ELEM, Context, RuleError, within
 from .core import (
     Cond,
     Conj,
@@ -36,7 +36,11 @@ from .core import (
     TypeVar,
     Var,
     WT,
+    interned,
 )
+
+_type_vars = interned(TypeVar)
+_pair = tuple.__new__  # a constraint of two sides that are never wt, made with no Python call
 
 
 class FreshSupply:
@@ -53,7 +57,7 @@ class FreshSupply:
         return self._next
 
     def fresh(self) -> TypeVar:
-        v = TypeVar(self._next)
+        v = _type_vars[(self._next,)]
         self._next += 1
         return v
 
@@ -78,15 +82,14 @@ def _names_in_order(rule: Rule) -> list[tuple[bool, str]]:
     stack: list[Cond | Term] = [*reversed(rule.actions), rule.cond]
     while stack:
         e = stack.pop()
-        if isinstance(e, Var):
-            seen.setdefault((False, e.name))
-        elif isinstance(e, StarVar):
-            seen.setdefault((True, e.name))
-        elif isinstance(e, (SynApp, ListApp)):
+        cls = e.__class__
+        if cls is Var or cls is StarVar:
+            seen.setdefault((cls is StarVar, e.name))
+        elif cls is SynApp or cls is ListApp:
             stack.extend(reversed(e.args))
-        elif isinstance(e, Match):
+        elif cls is Match:
             stack += (e.subject, e.pattern)
-        elif isinstance(e, Conj):
+        elif cls is Conj:
             stack.extend(reversed(e.conds))
     return list(seen)
 
@@ -101,40 +104,50 @@ def init_context(signature: Context, rule: Rule, fresh: FreshSupply) -> Context:
     star_types = dict(signature.star_types)
     for is_star, name in _names_in_order(rule):
         table = star_types if is_star else var_types
-        if not isinstance(table.get(name), DecoratedSort):
+        if table.get(name).__class__ is not DecoratedSort:
             table[name] = fresh.fresh()
     return signature.with_typings(var_types, star_types)
 
 
-def _infer_term(ctx: Context, e: Term, fresh: FreshSupply, path: str, out: list[Record],
+def _infer_term(ctx: Context, e: Term, fresh: FreshSupply, out: list[Record],
                 pin: TypeVar | None = None, star_ok: bool = False) -> TypeVar:
-    if isinstance(e, (Var, StarVar)):
-        binding = ctx.declared_typing(e, path, star_ok)
+    # Reads the context's tables; its diagnosis methods run only if that fails.
+    cls = e.__class__
+    if cls is Var or cls is StarVar:
+        binding = ((ctx._var_types.get(e.name) if cls is Var else ctx._star_types.get(e.name) if star_ok else None)
+                   or ctx.declared_typing(e, star_ok))  # the diagnosis: it raises
         alpha = pin or fresh.fresh()
-        out.append(("CT-Var" if isinstance(e, Var) else "CT-SVar", e, alpha, 0, (Eq(alpha, binding),)))
+        out.append(("CT-Var" if cls is Var else "CT-SVar", e, alpha, 0, (_pair(Eq, (alpha, binding)),)))
         return alpha
 
-    if isinstance(e, SynApp):
-        rank = ctx.syn_rank(e, path)
+    if cls is SynApp:
+        rank, args = ctx._syn_ranks.get(e.op), e.args
+        if rank is None or len(args) != len(rank.domain):
+            rank = ctx.syn_rank(e)  # the diagnosis: it raises
         alpha = pin or fresh.fresh()
-        own = [Eq(alpha, rank.codomain)]
-        for i, arg in enumerate(e.args):
-            av = _infer_term(ctx, arg, fresh, f"{path}.arg[{i}]", out)
-            own.append(Sub(av, rank.domain[i]))
-        out.append(("CT-Fun", e, alpha, len(e.args), own))
+        own = [_pair(Eq, (alpha, rank.codomain))]
+        try:
+            for i, arg in enumerate(args):
+                own.append(_pair(Sub, (_infer_term(ctx, arg, fresh, out), rank.domain[i])))
+        except RuleError as exc:
+            ctx.syn_rank(e)  # a star argument is e's own defect, diagnosed first
+            raise exc.prefix(f".arg[{i}]")
+        out.append(("CT-Fun", e, alpha, len(args), own))
         return alpha
 
-    if isinstance(e, ListApp):
-        rank = ctx.var_rank(e, path)
+    if cls is ListApp:
+        rank = ctx._var_ranks.get(e.op) or ctx.var_rank(e)
         alpha = pin or fresh.fresh()
-        out.append(("CT-Empty", (e, 0), alpha, 0, (Eq(alpha, rank.codomain),)))
-        for i, (arg, step) in enumerate(ctx.list_steps(e)):
-            # A star or merged list concludes at the spine's own variable, and
-            # every step inherits the spine's equality from the empty list.
-            av = _infer_term(ctx, arg, fresh, f"{path}.arg[{i}]", out,
-                             pin=None if step == ELEM else alpha, star_ok=True)
-            own = (Sub(av, rank.elem),) if step == ELEM else ()
-            out.append((f"CT-{step}", (e, i + 1), alpha, 2, own))
+        out.append(("CT-Empty", (e, 0), alpha, 0, (_pair(Eq, (alpha, rank.codomain)),)))
+        try:
+            for i, (arg, step) in enumerate(ctx.list_steps(e)):
+                # A star or merged list concludes at the spine's own variable, and
+                # every step inherits the spine's equality from the empty list.
+                av = _infer_term(ctx, arg, fresh, out, None if step == ELEM else alpha, True)
+                own = (_pair(Sub, (av, rank.elem)),) if step == ELEM else ()
+                out.append(("CT-" + step, (e, i + 1), alpha, 2, own))
+        except RuleError as exc:
+            raise exc.prefix(f".arg[{i}]")
         return alpha
 
     raise TypeError(f"unexpected term {e!r}")
@@ -143,23 +156,22 @@ def _infer_term(ctx: Context, e: Term, fresh: FreshSupply, path: str, out: list[
 def infer_term(ctx: Context, e: Term, fresh: FreshSupply) -> InferResult:
     """Infer one term: a fresh conclusion variable plus its constraint set."""
     out: list[Record] = []
-    alpha = _infer_term(ctx, e, fresh, "term", out)
-    return InferResult(alpha, out)
+    return InferResult(within("term", _infer_term, ctx, e, fresh, out), out)
 
 
-def _infer_cond(ctx: Context, c: Cond, fresh: FreshSupply, path: str, out: list[Record]) -> Cond:
+def _infer_cond(ctx: Context, c: Cond, fresh: FreshSupply, out: list[Record]) -> Cond:
     # Returns the condition with every match annotation filled in.
     if isinstance(c, Match):
         annotation: TypeTerm = c.at if c.at is not None else fresh.fresh()
-        pat_var = _infer_term(ctx, c.pattern, fresh, f"{path}.pattern", out)
-        sub_var = _infer_term(ctx, c.subject, fresh, f"{path}.subject", out)
+        pat_var = within(".pattern", _infer_term, ctx, c.pattern, fresh, out)
+        sub_var = within(".subject", _infer_term, ctx, c.subject, fresh, out)
         subject = Match(c.pattern, c.subject, annotation)
         out.append(("CT-Match", subject, WT, 2, (Sub(pat_var, annotation), Eq(sub_var, annotation))))
         return subject
 
     if isinstance(c, Conj):
-        subject = Conj(tuple(_infer_cond(ctx, member, fresh, f"{path}[{i}]", out)
-                             for i, member in enumerate(c.conds)))
+        subject = Conj(tuple([within(("[%d]", i), _infer_cond, ctx, member, fresh, out)
+                              for i, member in enumerate(c.conds)]))
         out.append(("CT-Conj", subject, WT, len(c.conds), ()))
         return subject
 
@@ -169,7 +181,7 @@ def _infer_cond(ctx: Context, c: Cond, fresh: FreshSupply, path: str, out: list[
 def infer_cond(ctx: Context, c: Cond, fresh: FreshSupply) -> InferResult:
     """Infer a condition; a missing match annotation gets a fresh variable."""
     out: list[Record] = []
-    _infer_cond(ctx, c, fresh, "cond", out)
+    within("cond", _infer_cond, ctx, c, fresh, out)
     return InferResult(WT, out)
 
 
@@ -178,12 +190,12 @@ def infer_rule(ctx: Context, r: Rule, fresh: FreshSupply) -> InferResult:
     constraints, and one reflexive equality recording the declared typing of
     every variable-headed action term."""
     out: list[Record] = []
-    cond = _infer_cond(ctx, r.cond, fresh, "cond", out)
+    cond = within("cond", _infer_cond, ctx, r.cond, fresh, out)
     action_typings: list[TypeTerm] = []
     for i, action in enumerate(r.actions):
-        path = f"action[{i}]"
-        action_typings.append(ctx.declared_typing(action, path))
-        _infer_term(ctx, action, fresh, path, out)
+        step = ("action[%d]", i)
+        action_typings.append(within(step, ctx.declared_typing, action))
+        within(step, _infer_term, ctx, action, fresh, out)
     own = [Eq(typing, typing) for typing in action_typings if isinstance(typing, TypeVar)]
     out.append(("CT-Rule", Rule(cond, r.actions), WT, 1 + len(r.actions), own))
     return InferResult(WT, out)

@@ -101,45 +101,38 @@ def enumerate_solutions(
             return lhs == rhs
         return ctx.subtype_holds(lhs, rhs)
 
-    def decided_by(var: int, known: set[int]) -> list[Constraint]:
-        picked = []
-        for c in items:
-            vs = type_vars(c.lhs) | type_vars(c.rhs)
-            if var in vs and vs <= known:
-                picked.append(c)
-        return picked
-
-    # Constraints with no free variables, or decided by the fixed prefix.
-    known = set(assignment)
+    # Each constraint is checked at the level that assigns the last of its
+    # variables; one with none free is checked now.
+    todo = [v for v in order if v not in assignment]
+    level = {v: i for i, v in enumerate(todo)}
+    watches: list[list[Constraint]] = [[] for _ in todo]
     for c in items:
-        vs = type_vars(c.lhs) | type_vars(c.rhs)
-        if vs <= known and not holds(c):
+        levels = [level[v] for v in type_vars(c.lhs) | type_vars(c.rhs) if v in level]
+        if levels:
+            watches[max(levels)].append(c)
+        elif not holds(c):
             return []
 
-    todo = [v for v in order if v not in assignment]
     solutions: list[Substitution] = []
     examined = 0
-
-    def recurse(i: int) -> bool:
-        nonlocal examined
-        if i == len(todo):
+    stack = [iter(universe)]  # a depth-first search; per level, the values not yet tried
+    while stack:
+        if (i := len(stack) - 1) == len(todo):
+            stack.pop()
             solutions.append(Substitution({v: assignment[v] for v in order}))
-            return limit is not None and len(solutions) >= limit
-        var = todo[i]
-        known = set(assignment) | {var}
-        watch = decided_by(var, known)
-        for u in universe:
+            if limit is not None and len(solutions) >= limit:
+                break
+            continue
+        for u in stack[-1]:
             examined += 1
             if examined > budget:
                 raise BudgetExceeded(f"enumeration exceeded {budget} candidates")
-            assignment[var] = u
-            if all(holds(c) for c in watch):
-                if recurse(i + 1):
-                    return True
-        del assignment[var]
-        return False
-
-    recurse(0)
+            assignment[todo[i]] = u
+            if all(holds(c) for c in watches[i]):
+                stack.append(iter(universe))
+                break
+        else:
+            stack.pop()
     return solutions
 
 

@@ -137,12 +137,12 @@ class _State:
         self.fresh, self.pending, self.log, self.n, self.nsub = [], [], [], 0, 0
         code, codes, cache, where = self.code, self.codes, self.cache, self.where
         for c in items:
-            l, r = c.lhs, c.rhs
+            l, r = c
             l = l.id << 1 if l.__class__ is TypeVar else codes.get(l) or code(l)
             r = r.id << 1 if r.__class__ is TypeVar else codes.get(r) or code(r)
             if (l | r) > _SIDE:
                 raise ValueError(f"type variable ids must be below 2^39: {c}")
-            key = (l << 40 | r) << 1 | isinstance(c, Sub)
+            key = (l << 40 | r) << 1 | (c.__class__ is Sub)
             if key not in where:
                 cache[key] = c
                 self._place(len(where), key)

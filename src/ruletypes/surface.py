@@ -124,6 +124,7 @@ _TOKEN = (r"(\n|[A-Za-z_][A-Za-z0-9_]*(?:\+|-(?!>))?|"
 _TOKEN_RE = re.compile(_GAP + _TOKEN)
 
 _sorts, _decorations, _decorated = interned(Sort), interned(Decoration), interned(DecoratedSort)
+_new, _set = object.__new__, object.__setattr__
 
 
 class _Stop(Exception):
@@ -179,7 +180,8 @@ def _term(tokens: list[str], i: int, lists: set[str], star_ok: bool) -> tuple[Te
             raise _Stop(i, f"star variable {name}* may only appear inside a list application")
         return StarVar(name), i + 2
     if after != "(":
-        return Var(name), i + 1
+        _set(e := _new(Var), "name", name)  # a value's fields, without its constructor's frame
+        return e, i + 1
     args: list[Term] = []
     i += 2
     if tokens[i] != ")":
@@ -191,7 +193,9 @@ def _term(tokens: list[str], i: int, lists: set[str], star_ok: bool) -> tuple[Te
             i += 1
         if tokens[i] != ")":
             raise _unexpected(tokens, i, ")")
-    return (ListApp if name in lists else SynApp)(name, tuple(args)), i + 1
+    _set(e := _new(ListApp if name in lists else SynApp), "op", name)
+    _set(e, "args", tuple(args))
+    return e, i + 1
 
 
 def _rule(tokens: list[str], i: int, lists: set[str]) -> tuple[Rule, int]:

@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 
 import support
 from ruletypes import cli, solver, surface
+from ruletypes.context import Context
 from ruletypes.core import RULE_LABELS, Constraint, Derivation, Eq, Sub, Substitution, TypeVar, dsort
 
 
@@ -412,12 +413,16 @@ reports = st.recursive(
 
 
 def plain(value):
-    """``value`` with every constraint replaced by its JSON dict, and every
-    substitution by its list of ``{"var", "type"}`` dicts."""
+    """``value`` with every constraint replaced by its JSON dict, every
+    substitution by its list of ``{"var", "type"}`` dicts, and every typing
+    context by its list of ``{"name", "type"}`` dicts."""
     if isinstance(value, Constraint):
         return cli.constraint_json(value)
     if isinstance(value, Substitution):
         return [{"var": f"α{v}", "type": str(t)} for v, t in value.items()]
+    if isinstance(value, Context):
+        return [{"name": n, "type": str(t)} for n, t in value.var_types.items()] + [
+            {"name": f"{n}*", "type": str(t)} for n, t in value.star_types.items()]
     if isinstance(value, list):
         return [plain(v) for v in value]
     if isinstance(value, dict):
@@ -452,6 +457,7 @@ def traced_report(path: pathlib.Path, command: str) -> dict:
 ODD = dsort('Z"\\\n', 'l"\\\n')  # a sort and a decoration that JSON must escape
 SIDES = [Eq(TypeVar(1), dsort("Z", "l")), Sub(dsort("N"), TypeVar(2)), Sub(ODD, TypeVar(3)), Eq(TypeVar(4), ODD)]
 SIGMA = Substitution({3: TypeVar(1), 2: ODD, 12: dsort("Z", "l"), 7: dsort("N")})  # variable and ground images
+GAMMA = Context(var_types={'x"\\\n': ODD, "y": TypeVar(2)}, star_types={"w": dsort("Z", "l"), "α": TypeVar(3)})
 
 
 @pytest.mark.parametrize("value", [
@@ -469,12 +475,16 @@ SIGMA = Substitution({3: TypeVar(1), 2: ODD, 12: dsort("Z", "l"), 7: dsort("N")}
     [SIGMA, [SIDES[0]], SIDES[1]],
     traced_report(FIXTURES / "example4.rules", "solve"),
     traced_report(FIXTURES / "produce.rules", "solve"),
+    Context(),
+    GAMMA,
+    {"rules": [{"context": GAMMA, "empty": Context(), "constraints": SIDES}]},
 ], ids=["empty", "depth-1", "depth-3", "lone", "mixed", "escapes", "traced-example4", "traced-lists",
-        "empty-subst", "subst", "subst-depth-3", "subst-beside-constraints", "solved-example4", "solved-produce"])
+        "empty-subst", "subst", "subst-depth-3", "subst-beside-constraints", "solved-example4", "solved-produce",
+        "empty-context", "context", "context-depth-3"])
 def test_json_writer_joins_constraint_lists(value):
-    # Lists of constraints only, and substitutions, are written in one join;
-    # the rest take the generic walk, and all print as json.dumps prints the
-    # plain dicts.
+    # Lists of constraints only, substitutions and typing contexts are
+    # written in one join; the rest take the generic walk, and all print as
+    # json.dumps prints the plain dicts.
     assert cli.json_text(value) == json.dumps(plain(value), ensure_ascii=False, indent=2)
 
 
@@ -504,11 +514,13 @@ def test_traced_output_does_not_follow_the_hash_seed(fixtures_dir):
     ("solve", "example4.rules"),  # solved
     ("solve", "produce.rules"),  # solved
     ("solve", "stuck.rules"),  # stuck
+    ("solve --oracle", "example2.rules"),  # the enumeration answers
+    ("solve --oracle --max-enum 5", "example4.rules"),  # its budget runs out
 ])
 def test_cli_op_leaves_no_cyclic_garbage(capsys, fixtures_dir, command, name, fmt):
     # An object in a reference cycle waits for the cyclic collector, and keeps
     # everything it reaches alive until then.
-    argv = [command, str(fixtures_dir / name), "--format", fmt]
+    argv = [*command.split(), str(fixtures_dir / name), "--format", fmt]
     cli.run(argv)  # first-use caches are kept, not garbage
     enabled = gc.isenabled()
     gc.disable()
@@ -520,6 +532,48 @@ def test_cli_op_leaves_no_cyclic_garbage(capsys, fixtures_dir, command, name, fm
         if enabled:
             gc.enable()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["check", "infer"])
+def test_deep_rejection_leaves_no_cyclic_garbage(capsys, tmp_path, command):
+    # The error's path is prefixed level by level as it unwinds, and a star
+    # argument is diagnosed again over an error inside an earlier argument;
+    # neither may leave an error, a traceback or a frame in a cycle.
+    path = tmp_path / "deep.rules"
+    patterns = ["s(" * 300 + "s(c(),c())" + ")" * 300, "L(c(),s(s(s(c(),c()))))", "s(s(L(c(),f(q,x*))))"]
+    source = SOURCE.format(pattern="t", ann="Z")
+    path.write_text(source.replace("op s :", "op f : Z Z -> N\nop s :").replace("var t :", "svar x* : Z^L\nvar t :")
+                    + "".join(f"rule {p} << [Z] t -> (t)\n" for p in patterns))
+    argv = [command, str(path), "--format", "json"]
+    assert cli.run(argv) == 1
+    errors = [rule["error"] for rule in json.loads(capsys.readouterr().out)["rules"][2:]]
+    assert [(e["kind"], e["path"]) for e in errors] == [
+        ("ArityMismatch", "cond.pattern" + ".arg[0]" * 300),
+        ("ArityMismatch", "cond.pattern.arg[1].arg[0].arg[0]"),
+        ("StarOutsideList", "cond.pattern.arg[0].arg[0].arg[1].arg[1]")]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        cli.run(argv)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+
+
+def test_failed_witness_and_trace_steps_print_as_constraint_objects(capsys, fixtures_dir):
+    # A constraint is a pair, so the JSON writer must take it for a
+    # constraint before it takes it for a tuple.
+    assert cli.run(["solve", str(fixtures_dir / "example2.rules"), "--format", "json", "--trace"]) == 1
+    (rule,) = json.loads(capsys.readouterr().out)["rules"]
+    assert rule["result"] == "failed" and rule["witness"] and rule["steps"]
+    for c in rule["witness"] + [c for step in rule["steps"] for c in step["consumed"] + step["produced"]]:
+        assert set(c) == {"kind", "lhs", "rhs"} and c["kind"] in ("eq", "sub")
+    witness = (Eq(TypeVar(1), dsort("Z")), Sub(dsort("N"), TypeVar(2)))
+    assert cli.json_value(witness) == list(witness)
+    assert json.loads(cli.json_text(cli.json_value(witness))) == [cli.constraint_json(c) for c in witness]
 
 
 def test_too_deep_nesting_is_a_parse_error(capsys, tmp_path):

@@ -97,6 +97,16 @@ def test_supersort_chain_is_the_walk_along_first_parents(edges):
     assert all(typed.supersort_chain(s) == ctx.supersort_chain(s) for s in sorts)
 
 
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=20))
+def test_sort_leq_is_membership_in_the_supersort_chain(edges):
+    # sort_leq walks the parents under a bound of its own instead of
+    # building the chain; on cyclic contexts too it must answer as the chain.
+    sorts = [Sort(f"S{i}") for i in range(10)]
+    ctx = Context(sorts=sorts[:8], subsorts=[(sorts[a], sorts[b]) for a, b in edges])
+    for x, y in itertools.product(sorts, sorts):
+        assert ctx.sort_leq(x, y) == (y in ctx.supersort_chain(x))
+
+
 def test_order_queries_keep_no_table():
     # A context holds its declarations only, so building and validating one
     # takes memory linear in the number of sorts.  Measured in a fresh

@@ -176,6 +176,21 @@ def test_set_equality_ignores_order():
     assert ConstraintSet([c1, c2]) == ConstraintSet([c2, c1])
 
 
+def test_constraints_are_pairs_of_their_sides():
+    # A constraint is the tuple (lhs, rhs), hashed as that tuple, and equal
+    # only to a constraint of its own class: Eq and Sub of one pair are two.
+    e, s = Eq(a(1), g("Z")), Sub(a(1), g("Z"))
+    assert isinstance(e, tuple) and tuple(e) == (e.lhs, e.rhs) == (a(1), g("Z"))
+    assert e != s and not e == s and hash(e) == hash(s) == hash((a(1), g("Z")))
+    assert e != (a(1), g("Z")) and (a(1), g("Z")) != e
+    assert list(ConstraintSet([e, s, Eq(a(1), g("Z")), Sub(a(1), g("Z")), e])) == [e, s]
+    made = tuple.__new__(Sub, (a(1), g("Z")))  # how inference makes them, with no Python call
+    assert type(made) is Sub and made == s and hash(made) == hash(s) and made in ConstraintSet([e, s])
+    for c in (e, s, made):
+        for other in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert type(other) is type(c) and other == c and hash(other) == hash(c)
+
+
 def test_wt_never_inside_constraints():
     with pytest.raises(ValueError):
         Eq(WT, a(1))

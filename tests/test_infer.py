@@ -1,4 +1,5 @@
 import pathlib
+import pickle
 from collections import Counter
 
 import pytest
@@ -217,12 +218,21 @@ def _malformed_terms():
 def test_checking_and_inference_reject_at_the_same_place(text):
     # Both algorithms diagnose a malformed term or rule with the same kind,
     # path and detail.
+    assert_same_rejection(_malformed_terms()[text])
+
+
+def _reject_context() -> Context:
     base = support.gamma_ex()
-    ctx = Context(sorts=base.sorts, subsorts=base.subsort_decls,
-                  ranks=[*base.syn_ranks.values(), *base.var_ranks.values(),
-                         SynRank.make("s", [Sort("Z")], Sort("N"))],
-                  var_types={**base.var_types, "x": g("Z")}, star_types=base.star_types)
-    subject = _malformed_terms()[text]
+    return Context(sorts=base.sorts, subsorts=base.subsort_decls,
+                   ranks=[*base.syn_ranks.values(), *base.var_ranks.values(),
+                          SynRank.make("s", [Sort("Z")], Sort("N")), SynRank.make("f", [Sort("Z")] * 2, Sort("N"))],
+                   var_types={**base.var_types, "x": g("Z")}, star_types=base.star_types)
+
+
+def assert_same_rejection(subject) -> tuple[ErrKind, str]:
+    """Check and infer ``subject``, a term (at ``Z``) or a rule; both must
+    reject it with one kind, path and detail, which are returned."""
+    ctx = _reject_context()
     if isinstance(subject, Rule):
         checked = check_rule(ctx, subject)
     else:
@@ -235,6 +245,36 @@ def test_checking_and_inference_reject_at_the_same_place(text):
             infer_term(ctx, subject, FreshSupply())
     assert (exc.value.kind, exc.value.path, exc.value.detail) == (
         checked.kind, checked.path, checked.detail)
+    again = pickle.loads(pickle.dumps(exc.value))  # the path it was given as it unwound
+    assert (again.kind, again.path, str(again)) == (checked.kind, checked.path, str(exc.value))
+    return checked.kind, checked.path
+
+
+def _s(*args):
+    return SynApp("s", args)
+
+
+_ONE, _Q, _W = SynApp("one"), Var("q"), StarVar("w")
+
+
+@pytest.mark.parametrize("subject, kind, path", [
+    (ListApp("l", (_ONE, _s(_s(_s(_ONE, _ONE))))), ErrKind.ARITY_MISMATCH, "term.arg[1].arg[0].arg[0]"),
+    (_s(_s(ListApp("l", (_ONE, _s(_W))))), ErrKind.STAR_OUTSIDE_LIST, "term.arg[0].arg[0].arg[1].arg[0]"),
+    # A star argument is the application's own defect, so it is named
+    # before an error inside an argument left of it.
+    (_s(_s(SynApp("f", (_Q, StarVar("x"))))), ErrKind.STAR_OUTSIDE_LIST, "term.arg[0].arg[0].arg[1]"),
+    (_s(_s(SynApp("f", (_Q, _ONE)))), ErrKind.UNDECLARED_VARIABLE, "term.arg[0].arg[0].arg[0]"),
+    (Rule(Match(Var("y"), Var("y"), g("Z")), (Var("y"), ListApp("l", (Var("y"), _s(_s(_Q)))))),
+     ErrKind.UNDECLARED_VARIABLE, "action[1].arg[1].arg[0].arg[0]"),
+    (Rule(Conj((Match(Var("y"), Var("y"), g("Z")), Match(ListApp("l", (_ONE, _s(_s(_W)))), Var("y"), g("Z")))), ()),
+     ErrKind.STAR_OUTSIDE_LIST, "cond[1].pattern.arg[1].arg[0].arg[0]"),
+    (Rule(Match(Var("y"), _s(ListApp("l", (_s(StarVar("x")),))), g("Z")), ()),
+     ErrKind.STAR_OUTSIDE_LIST, "cond.subject.arg[0].arg[0].arg[0]"),
+], ids=["arity", "star-in-list", "star-first", "undeclared", "action", "conj", "subject"])
+def test_deep_rejections_name_one_path(subject, kind, path):
+    # A path is built as the error unwinds, each level adding its own step;
+    # checking and inference share that mechanism and name the same place.
+    assert assert_same_rejection(subject) == (kind, path)
 
 
 @pytest.mark.parametrize("rule, path", [

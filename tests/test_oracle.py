@@ -1,6 +1,8 @@
 import importlib
 import importlib.util
+import itertools
 import pathlib
+import sys
 
 import pytest
 
@@ -24,7 +26,7 @@ from ruletypes import (
     infer_rule,
     init_context,
 )
-from ruletypes.core import Derivation, ListApp, StarVar
+from ruletypes.core import Derivation, ListApp, StarVar, Substitution, TypeVar, subst_satisfies
 from ruletypes.oracle import (
     MINIMAL,
     BudgetExceeded,
@@ -79,6 +81,28 @@ def test_enumeration_respects_fixed_and_limit(gamma_ex):
     assert len(sols) == 1 and sols[0].get(2) == g("N")
     sols = enumerate_solutions(gamma_ex, constraints, limit=1)
     assert len(sols) == 1
+
+
+def test_enumeration_answers_on_a_chain_longer_than_the_stack(gamma_ex):
+    # The search keeps its own stack, one level per variable.
+    n = sys.getrecursionlimit() + 200
+    constraints = [Eq(a(i), a(i + 1)) for i in range(1, n)] + [Sub(a(n), g("N"))]
+    (solution,) = enumerate_solutions(gamma_ex, constraints, limit=1)
+    assert len(solution) == n and {solution.get(i) for i in range(1, n + 1)} == {g("N")}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_enumeration_is_the_filtered_product_of_the_universe(seed):
+    # Every total assignment that satisfies the set, in the order of the
+    # product over the universe with variables in first-occurrence order.
+    ctx, constraints = gen_constraints(seed, 3, 5)
+    order = list(dict.fromkeys(t.id for c in constraints for t in (c.lhs, c.rhs) if isinstance(t, TypeVar)))
+    expected = []
+    for values in itertools.product(ground_universe(ctx), repeat=len(order)):
+        subst = Substitution(dict(zip(order, values)))
+        if all(subst_satisfies(subst, c, ctx) for c in constraints):
+            expected.append(subst)
+    assert enumerate_solutions(ctx, constraints) == expected
 
 
 # ---------------------------------------------------------------------------
