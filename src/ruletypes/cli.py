@@ -160,54 +160,14 @@ def report_text(report: dict[str, Any], index: int, where: str) -> str:
 # ---------------------------------------------------------------------------
 # JSON rendering
 
+_SEQUENCES = (list, tuple, ConstraintSet)  # what json_text writes as a list
+
+
 def constraint_json(c: Constraint) -> dict[str, str]:
-    """The JSON object ``json_text`` writes for a constraint, which reports
-    pass as it is; for callers that compare parsed output with constraints."""
+    """The JSON object ``json_text`` writes for a constraint; for callers
+    that compare parsed output with constraints."""
     return {"kind": "sub" if isinstance(c, Sub) else "eq",
             "lhs": str(c.lhs), "rhs": str(c.rhs)}
-
-
-def derivation_json(d: Derivation) -> dict[str, Any]:
-    """The derivation as nested ``rule``/``conclusion``/``premises`` dicts; an
-    inference judgment's conclusion also lists the constraints its own rule
-    emitted."""
-    root: list[dict[str, Any]] = []
-    stack = [(d, root)]  # a node, and its parent's premise list
-    while stack:
-        node, siblings = stack.pop()
-        conclusion: dict[str, Any] = {"subject": str(node.subject), "type": str(node.type)}
-        if node.constraints is not None:
-            conclusion["constraints"] = list(node.constraints)
-        siblings.append({"rule": node.rule, "conclusion": conclusion, "premises": []})
-        stack.extend((p, siblings[-1]["premises"]) for p in reversed(node.premises))
-    return root[0]
-
-
-def json_value(value: Any) -> Any:
-    """A report value as ``json_text`` takes it: constraint sets, derivations,
-    solver steps and errors become dicts and lists; constraints (tested before
-    tuples: each is a pair), typing contexts, substitutions, strings and ints stay."""
-    if isinstance(value, ConstraintSet):
-        return list(value)
-    if isinstance(value, Constraint):
-        return value
-    if isinstance(value, (tuple, list)):
-        return [json_value(v) for v in value]
-    if isinstance(value, Derivation):
-        return derivation_json(value)
-    if isinstance(value, solver.TraceStep):
-        return {"rule": value.rule, "consumed": list(value.consumed), "produced": list(value.produced),
-                "bound": [{"var": f"α{v}", "type": str(t)} for v, t in value.bound]}
-    if isinstance(value, RuleError):
-        return {"kind": str(value.kind), "path": value.path, "detail": value.detail}
-    if isinstance(value, Exception):  # the oracle's BudgetExceeded, the one other error
-        return "budget-exceeded"
-    return value
-
-
-def report_json(report: dict[str, Any], index: int, where: str) -> dict[str, Any]:
-    """A rule's report as its JSON entry; ``where`` serves text."""
-    return {"index": index, **{key: json_value(value) for key, value in report.items()}}
 
 
 @functools.lru_cache(maxsize=64)  # bounded: a deep trace has a pad per level
@@ -222,12 +182,14 @@ def _templates(pad: str) -> dict[type, str]:
 
 
 def json_text(value: Any) -> str:
-    """``json.dumps(value, ensure_ascii=False, indent=2)`` for a report (dicts
-    with string keys, lists, strings, ints, booleans, None, constraints, which
-    print as ``constraint_json`` would, and substitutions and typing contexts,
-    as lists of ``{"var", "type"}`` and ``{"name", "type"}`` objects), written
-    in one pass with an explicit stack, so that any nesting depth renders.  A
-    non-empty list of constraints, a σ or a Γ is written in one join."""
+    """``json.dumps(value, ensure_ascii=False, indent=2)`` for a report: the
+    one place that decides how a report value is written.  Tuples and
+    constraint sets print as lists, constraints as ``constraint_json``, σ
+    and Γ as lists of ``{"var", "type"}`` and ``{"name", "type"}`` objects,
+    derivations, solver steps and rule errors as objects of their fields,
+    and the oracle's BudgetExceeded as ``"budget-exceeded"``.  One pass with
+    an explicit stack, so that any nesting depth renders; a non-empty list
+    of constraints, a σ or a Γ is written in one join."""
     out: list[str] = []
     # The open container's (key, item) pairs left, kind and indent; the stack holds its parents'.
     pairs: Iterator[tuple[Any, Any]] = iter([(None, value)])
@@ -241,7 +203,7 @@ def json_text(value: Any) -> str:
                 out.append(encode_basestring(value))
             elif isinstance(value, Constraint):
                 out.append(_templates(pad)[value.__class__] % (value.lhs._json, value.rhs._json))
-            elif value.__class__ is list and value and {Eq, Sub}.issuperset(map(type, value)):
+            elif value.__class__ in _SEQUENCES and value and {Eq, Sub}.issuperset(map(type, value)):
                 item = _templates(inner := pad + "  ")
                 out.append("[" + inner + ("," + inner).join(
                     [item[c.__class__] % (c.lhs._json, c.rhs._json) for c in value]) + pad + "]")
@@ -250,7 +212,25 @@ def json_text(value: Any) -> str:
                 rows = ([item % (v, t._json) for v, t in value.items()] if isinstance(value, Substitution)
                         else [item % (encode_basestring(n), t._json) for n, t in _typings(value)])
                 out.append("[" + inner + ("," + inner).join(rows) + pad + "]" if rows else "[]")
-            elif isinstance(value, (dict, list)):
+            elif value is None or isinstance(value, bool):
+                out.append("null" if value is None else "true" if value else "false")
+            else:
+                if isinstance(value, Derivation):
+                    conclusion: dict[str, Any] = {"subject": str(value.subject), "type": str(value.type)}
+                    if value.constraints is not None:
+                        conclusion["constraints"] = value.constraints
+                    value = {"rule": value.rule, "conclusion": conclusion, "premises": value.premises}
+                elif isinstance(value, solver.TraceStep):
+                    value = {"rule": value.rule, "consumed": value.consumed, "produced": value.produced,
+                             "bound": [{"var": f"α{v}", "type": str(t)} for v, t in value.bound]}
+                elif isinstance(value, RuleError):
+                    value = {"kind": str(value.kind), "path": value.path, "detail": value.detail}
+                elif isinstance(value, Exception):  # the oracle's BudgetExceeded, the one other error
+                    out.append('"budget-exceeded"')
+                    continue
+                elif value.__class__ not in _SEQUENCES and not isinstance(value, dict):
+                    out.append(int.__repr__(value))  # a TypeError for any other type
+                    continue
                 stack.append((pairs, is_dict, pad))
                 is_dict = isinstance(value, dict)
                 pairs = iter(value.items()) if is_dict else enumerate(value)
@@ -258,10 +238,6 @@ def json_text(value: Any) -> str:
                 pad += "  "
                 sep = pad
                 break
-            elif value is None or isinstance(value, bool):
-                out.append("null" if value is None else "true" if value else "false")
-            else:
-                out.append(int.__repr__(value))  # a TypeError for any other type
         else:
             if not stack:
                 return "".join(out)
@@ -386,24 +362,23 @@ def run(argv: list[str]) -> int:
         return 3
 
     codes = [0]
-    report["rules"] = []
+    rendered = report["rules"] = []
     budget = args.max_enum if getattr(args, "oracle", False) else None
-    render, rendered = (report_json, report["rules"]) if as_json else (report_text, [])
     for index, decl in enumerate(sf.rules, start=1):
-        where = f"{name}:{decl.pos}"
-        # Terms are walked recursively; a term too deep for the interpreter's
-        # stack, to run or to render, is a per-rule error, not a crash.  So a
-        # rule's output is rendered inside the guard and kept only once whole.
+        # Checking and inference walk terms recursively, so a term too deep
+        # for the interpreter's stack is a per-rule error, not a crash.
+        # Rendering keeps its own stacks, and runs after the guard.
         try:
             code, result = rule_report(ctx, decl.rule, args.command, budget, args.trace)
-            output = render(result, index, where)
         except RecursionError:
             error = RuleError(ErrKind.TOO_DEEP, "rule", "the rule nests too deeply to process")
-            code, output = 1, render({"outcome": "error", "error": error}, index, where)
-        except RuleError as exc:  # a name that outlived the block would hold its traceback, so this frame
-            code, output = 1, render({"outcome": "error", "error": exc}, index, where)
+            code, result = 1, {"outcome": "error", "error": error}
+        except RuleError as exc:  # kept past the block: its traceback would hold this frame, and so the report
+            exc.__traceback__ = exc.__context__ = None
+            code, result = 1, {"outcome": "error", "error": exc}
         codes.append(code)
-        rendered.append(output)
+        rendered.append({"index": index, **result} if as_json
+                        else report_text(result, index, f"{name}:{decl.pos}"))
 
     report["exit"] = max(codes)
     if as_json or rendered:

@@ -30,9 +30,11 @@ class Value:
     constructor that calls its ``__post_init__`` if it has one, ``==`` and a
     hash by class and the fields not named in its ``uncompared`` class
     keyword, the dataclass ``repr``, and copy and pickle support through the
-    constructor.  The methods of ``_CODE`` are written once per class, for
-    its fields.  A subclass that declares ``__slots__`` writes its own
-    constructor and ``_fields``, and its ``==`` and hash or keeps ``object``'s."""
+    constructor.  The methods of ``_CODE`` and ``_UNCHECKED`` (a value
+    without ``__post_init__``, from the fields no ``cached_property``
+    computes) are written once per class, for its fields.  A subclass that
+    declares ``__slots__`` writes its own constructor and ``_fields``, and
+    its ``==`` and hash or keeps ``object``'s."""
 
     __slots__ = ()
     _CODE = """\
@@ -45,6 +47,12 @@ def __eq__(self, other):
 def __hash__(self):
     return hash(({hashed}))
 """
+    _UNCHECKED = """\
+@classmethod
+def _unchecked(cls, {stored}):
+    self = _new(cls)
+{set_stored}    return self
+"""
 
     def __init_subclass__(cls, uncompared: tuple[str, ...] = ()) -> None:
         if "__slots__" in cls.__dict__:  # a base with its own constructor: Interned, Constraint
@@ -52,17 +60,20 @@ def __hash__(self):
         fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
         compared = [f for f in fields if f not in uncompared]
+        stored = [f for f in fields if not isinstance(getattr(cls, f, None), cached_property)]
         methods: dict[str, object] = {}
         # Fields go in through object.__setattr__: writing ``self.__dict__``
         # builds faster but makes reading a field slower ever after.
-        exec(cls._CODE.format(
+        exec((cls._CODE + Value._UNCHECKED).format(
             params=", ".join(f"{f}=_d[{f!r}]" if f in defaults else f for f in fields),
             key="".join(f"{f}, " for f in fields),
             sets="".join(f"    _set(self, {f!r}, {f})\n" for f in fields),
             post="self.__post_init__()" if hasattr(cls, "__post_init__") else "pass",
             equal=" and ".join(f"self.{f} == other.{f}" for f in compared) or "True",
             hashed="".join(f"self.{f}, " for f in compared),
-        ), {"_d": defaults, "_set": object.__setattr__}, methods)
+            stored=", ".join(stored),
+            set_stored="".join(f"    _set(self, {f!r}, {f})\n" for f in stored),
+        ), {"_d": defaults, "_set": object.__setattr__, "_new": object.__new__}, methods)
         for key, method in methods.items():
             setattr(cls, key, staticmethod(method) if key == "__new__" else method)
 
@@ -76,15 +87,6 @@ def __hash__(self):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
-
-    @classmethod
-    def _unchecked(cls, *values):
-        """The value of these fields without ``__post_init__``: for
-        constructors that can only build well-formed values."""
-        obj = object.__new__(cls)
-        for name, value in zip(cls._fields, values):
-            object.__setattr__(obj, name, value)
-        return obj
 
 
 class Interned(Value):
@@ -236,6 +238,23 @@ class StarVar(Term, Value):
         return f"{self.name}*"
 
 
+def _app_text(term: SynApp | ListApp) -> str:
+    """``op(arg,...,arg)``, written from an explicit stack of the pieces left
+    to print, so that a term of any nesting depth prints."""
+    out, stack = [], [term]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is SynApp or t.__class__ is ListApp:
+            out.append(t.op + "(")
+            stack.append(")")
+            for arg in reversed(t.args[1:]):  # the first argument goes on top
+                stack += (arg, ",")
+            stack += t.args[:1]
+        else:
+            out.append(t if t.__class__ is str else str(t))
+    return "".join(out)
+
+
 class SynApp(Term, Value):
     """Application of a syntactic (fixed-arity) operator."""
 
@@ -245,8 +264,7 @@ class SynApp(Term, Value):
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))
 
-    def __str__(self) -> str:
-        return f"{self.op}({','.join(str(a) for a in self.args)})"
+    __str__ = _app_text
 
 
 class ListApp(Term, Value):
@@ -258,8 +276,7 @@ class ListApp(Term, Value):
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(self.args))
 
-    def __str__(self) -> str:
-        return f"{self.op}({','.join(str(a) for a in self.args)})"
+    __str__ = _app_text
 
 
 class Cond:

@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 import support
 from ruletypes import cli, solver, surface
 from ruletypes.context import Context
-from ruletypes.core import RULE_LABELS, Constraint, Derivation, Eq, Sub, Substitution, TypeVar, dsort
+from ruletypes.core import RULE_LABELS, Constraint, ConstraintSet, Derivation, Eq, Sub, Substitution, TypeVar, dsort
 
 
 GOLDEN_RUNS = [
@@ -163,8 +163,9 @@ def nested(depth: int) -> str:
 ], ids=["check", "infer", "solve"])
 def test_deep_or_wide_rule_gets_a_verdict(capsys, tmp_path, command, verdict, code, next_rule):
     # Term nesting is walked at one stack frame per level, so a rule nested
-    # 900 deep gets a verdict, and the rule after it runs too; list spines
-    # are walked in a loop, so a wide list gets one.
+    # 900 deep gets a verdict, and the rule after it runs too; its terms
+    # print without recursion, so it gets one with --trace as well.  List
+    # spines are walked in a loop, so a wide list gets one.
     ann = "Z" if command == "check" else "?"
     path = tmp_path / "deep.rules"
     path.write_text(SOURCE.format(pattern=nested(900), ann=ann))
@@ -174,12 +175,19 @@ def test_deep_or_wide_rule_gets_a_verdict(capsys, tmp_path, command, verdict, co
     assert [line[:len(start)] for line, start in zip(lines, verdict)] == verdict
     assert lines[len(verdict)].startswith(next_rule)
 
-    assert cli.run([command, "--format", "json", str(path)]) == code
-    report = json.loads(capsys.readouterr().out)
-    assert report["exit"] == code
-    assert [rule["index"] for rule in report["rules"]] == [1, 2]
-    assert not any("error" in rule for rule in report["rules"])
-    assert report["rules"][0].get("fail_rule", 4) == 4
+    assert cli.run([command, "--trace", str(path)]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert all(any(line.startswith(start) for line in lines) for start in verdict)
+    assert any(line.startswith(next_rule) for line in lines) and not any(" error " in line for line in lines)
+
+    for trace in ([], ["--trace"]):
+        assert cli.run([command, "--format", "json", *trace, str(path)]) == code
+        report = loads_deep(capsys.readouterr().out)
+        assert report["exit"] == code
+        assert [rule["index"] for rule in report["rules"]] == [1, 2]
+        assert not any("error" in rule for rule in report["rules"])
+        assert report["rules"][0].get("fail_rule", 4) == 4
+        assert ("derivation" in report["rules"][0]) == bool(trace)
 
     # solve is quadratic in the constraint count, so it gets a shorter list
     width = 600 if command == "solve" else 2000
@@ -194,41 +202,51 @@ def test_deep_or_wide_rule_gets_a_verdict(capsys, tmp_path, command, verdict, co
     ("check", "rule 2: well-typed"),
     ("infer", "rule 2: Γ = {t : Z^L}"),
 ])
-def test_too_deep_to_render_is_a_rule_error(capsys, tmp_path, command, next_rule):
-    # At 300 levels the rule runs, but printing its terms for --trace
-    # recurses too deeply: rule 1 gives only its error, in either format.
+def test_too_deep_to_run_is_a_rule_error(capsys, tmp_path, command, next_rule):
+    # Checking and inference recurse once per nesting level, as the parser
+    # does, but from more frames deep.  So under the lowest recursion limit
+    # at which the file parses, rule 1 runs out of stack: it gives only its
+    # error, in either format, and rule 2 still runs.
     ann = "Z" if command == "check" else "?"
     path = tmp_path / "deep.rules"
     path.write_text(SOURCE.format(pattern=nested(300), ann=ann))
-    error_line = f"{path}:7:1: rule 1: error TooDeep at rule: the rule nests too deeply to process"
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    try:
+        for headroom in itertools.count(50):
+            sys.setrecursionlimit(depth + headroom)
+            text = cli.run([command, str(path)]), capsys.readouterr()
+            if text[0] != 2:  # else the limit is below what the parser needs
+                break
+        as_json = cli.run([command, "--format", "json", str(path)]), capsys.readouterr()
+    finally:
+        sys.setrecursionlimit(limit)
 
-    assert cli.run([command, "--trace", str(path)]) == 1
-    captured = capsys.readouterr()
+    code, captured = text
     lines = captured.out.splitlines()
-    assert lines[0] == error_line and lines[1].startswith(next_rule)
+    assert code == 1 and captured.err == ""
+    assert lines[0] == f"{path}:7:1: rule 1: error TooDeep at rule: the rule nests too deeply to process"
+    assert lines[1].startswith(next_rule)
     assert not any("rule 1:" in line for line in lines[1:])
-    assert captured.err == ""
 
-    assert cli.run([command, "--trace", "--format", "json", str(path)]) == 1
-    captured = capsys.readouterr()
+    code, captured = as_json
     report = json.loads(captured.out)
-    assert report["exit"] == 1
+    assert code == report["exit"] == 1 and captured.err == ""
     assert report["rules"][0] == {
         "index": 1, "outcome": "error",
         "error": {"kind": "TooDeep", "path": "rule",
                   "detail": "the rule nests too deeply to process"}}
     assert report["rules"][1]["index"] == 2 and "error" not in report["rules"][1]
-    assert captured.err == ""
 
-    if command == "check":
-        assert cli.run([command, str(path)]) == 0
-        assert capsys.readouterr().out == "rule 1: well-typed\nrule 2: well-typed\n"
+    assert cli.run([command, str(path)]) == 0
+    assert "TooDeep" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["check", "infer"])
 def test_text_trace_of_a_wide_list(capsys, tmp_path, command):
-    # Text mode renders the derivation in a loop and builds no JSON tree,
-    # whose rendering recurses once per level.
+    # Text mode renders the derivation in a loop.
     path = tmp_path / "wide.rules"
     ann = "Z" if command == "check" else "?"
     path.write_text(SOURCE.format(pattern=f"L({','.join(['c()'] * 600)})", ann=ann))
@@ -391,7 +409,7 @@ def test_check_mode_names_each_open_typing(capsys, tmp_path):
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers()
     | st.text(st.sampled_from('ab"\\\n\t\x00\x1f\x7fα↦ ')),
-    lambda inner: st.lists(inner, max_size=4)
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(st.text(st.sampled_from('k"\\\nα'), max_size=3), inner, max_size=4),
     max_leaves=30)
 
@@ -407,15 +425,17 @@ type_terms = st.integers(1, 12).map(TypeVar) | st.builds(
 constraints = st.builds(Eq, type_terms, type_terms) | st.builds(Sub, type_terms, type_terms)
 reports = st.recursive(
     constraints | st.none() | st.integers() | st.text(st.sampled_from('ab"α')),
-    lambda inner: st.lists(inner, max_size=4)
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(st.sampled_from(["constraints", "witness", "rules", "k\"α"]), inner, max_size=4),
     max_leaves=30)
 
 
 def plain(value):
-    """``value`` with every constraint replaced by its JSON dict, every
-    substitution by its list of ``{"var", "type"}`` dicts, and every typing
-    context by its list of ``{"name", "type"}`` dicts."""
+    """``value`` as ``json.dumps`` takes it, converted by a recursive walk:
+    every constraint replaced by its JSON dict, every substitution by its
+    list of ``{"var", "type"}`` dicts, every typing context by its list of
+    ``{"name", "type"}`` dicts, every derivation and solver step by its dict,
+    and every tuple and constraint set by a list."""
     if isinstance(value, Constraint):
         return cli.constraint_json(value)
     if isinstance(value, Substitution):
@@ -423,7 +443,15 @@ def plain(value):
     if isinstance(value, Context):
         return [{"name": n, "type": str(t)} for n, t in value.var_types.items()] + [
             {"name": f"{n}*", "type": str(t)} for n, t in value.star_types.items()]
-    if isinstance(value, list):
+    if isinstance(value, Derivation):
+        conclusion = {"subject": str(value.subject), "type": str(value.type)}
+        if value.constraints is not None:
+            conclusion["constraints"] = plain(value.constraints)
+        return {"rule": value.rule, "conclusion": conclusion, "premises": plain(value.premises)}
+    if isinstance(value, solver.TraceStep):
+        return {"rule": value.rule, "consumed": plain(value.consumed), "produced": plain(value.produced),
+                "bound": [{"var": f"α{v}", "type": str(t)} for v, t in value.bound]}
+    if isinstance(value, (list, tuple, ConstraintSet)):
         return [plain(v) for v in value]
     if isinstance(value, dict):
         return {k: plain(v) for k, v in value.items()}
@@ -451,7 +479,7 @@ def traced_report(path: pathlib.Path, command: str) -> dict:
     """The JSON entry of the first rule of ``command --trace`` on ``path``."""
     source = surface.parse(path.read_text("utf-8"))
     _, report = cli.rule_report(surface.build_context(source), source.rules[0].rule, command, trace=True)
-    return cli.report_json(report, 1, str(path))
+    return {"index": 1, **report}
 
 
 ODD = dsort('Z"\\\n', 'l"\\\n')  # a sort and a decoration that JSON must escape
@@ -572,8 +600,7 @@ def test_failed_witness_and_trace_steps_print_as_constraint_objects(capsys, fixt
     for c in rule["witness"] + [c for step in rule["steps"] for c in step["consumed"] + step["produced"]]:
         assert set(c) == {"kind", "lhs", "rhs"} and c["kind"] in ("eq", "sub")
     witness = (Eq(TypeVar(1), dsort("Z")), Sub(dsort("N"), TypeVar(2)))
-    assert cli.json_value(witness) == list(witness)
-    assert json.loads(cli.json_text(cli.json_value(witness))) == [cli.constraint_json(c) for c in witness]
+    assert json.loads(cli.json_text(witness)) == [cli.constraint_json(c) for c in witness]
 
 
 def test_too_deep_nesting_is_a_parse_error(capsys, tmp_path):

@@ -29,13 +29,14 @@ from ruletypes.core import (
     Decoration,
     ListApp,
     Match,
+    Rule,
     Sort,
     StarVar,
     SynApp,
     TypeVar,
     Var,
 )
-from ruletypes.oracle import GenParams
+from ruletypes.oracle import GenParams, gen_instance
 from ruletypes.solver import TraceStep
 from ruletypes.surface import Pos, VarDecl, parse
 
@@ -314,6 +315,40 @@ def test_interning_is_thread_safe():
     assert len(built) == 4
     for pairs in built[1:]:
         assert all(x is y and u is v for (x, u), (y, v) in zip(pairs, built[0]))
+
+
+# ---------------------------------------------------------------------------
+# Term text
+
+def reference_text(e) -> str:
+    """A term's text, written recursively: one Python call per nesting level."""
+    if isinstance(e, (SynApp, ListApp)):
+        return f"{e.op}({','.join(reference_text(a) for a in e.args)})"
+    return str(e)
+
+
+def test_deep_terms_print():
+    # Term text keeps its own stack, so 5,000 levels of mixed applications
+    # print, alone and inside a match and a rule, where the recursive
+    # printer runs out of stack.
+    term = Var("x")
+    for i in range(5000):
+        term = SynApp("s", (term,)) if i % 2 else ListApp("l", (StarVar("w"), term, Var("y")))
+    with pytest.raises(RecursionError):
+        reference_text(term)
+    text = "s(l(w*," * 2500 + "x" + ",y))" * 2500
+    assert str(term) == text
+    match = Match(term, Var("t"), g("Z"))
+    assert str(match) == f"{text} << [Z^?] t"
+    assert str(Rule(match, (term, Var("t")))) == f"{text} << [Z^?] t -> ({text}, t)"
+
+
+def test_term_text_matches_a_recursive_printer():
+    for seed in range(300):
+        _, rule = gen_instance(seed)
+        terms = [t for m in getattr(rule.cond, "conds", (rule.cond,)) for t in (m.pattern, m.subject)]
+        terms += rule.actions
+        assert [str(t) for t in terms] == [reference_text(t) for t in terms]
 
 
 # ---------------------------------------------------------------------------
