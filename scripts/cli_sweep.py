@@ -88,11 +88,17 @@ for name, middle in (("wide-36", "s(f(g(s(x3)),M(s(x3),y3)))"), ("wide-36-failin
     INLINE[f"{name}.rules"] = LIST_SIGNATURE + f"rule L({WIDE_HEAD}{middle}{WIDE_TAIL}) << [?] t -> (t)\n"
 
 # Ill-formed signatures, which validate rejects and check, infer and solve
-# refuse with exit code 3: one input per kind of violation.
+# refuse with exit code 3: one input per kind of violation, and one per kind
+# of ground type outside the universe (a variable at another operator's
+# decoration, an annotation at an undeclared one, a star at its list
+# operator's decoration on the wrong sort).
 INLINE.update({
     "unknown-supersort.rules": "sort A <: B\n",
     "unknown-rank-sorts.rules": "sort Z\nop f : Q -> Z\nvop l : Z* -> R\n",
     "unknown-typing-sorts.rules": "sort Z\nvop l : Z* -> Z\nvar x : Q\nsvar w* : Q^l\nsvar v* : Z\n",
+    "typing-off-codomain.rules": "sort Z\nsort N <: Z\nvop l : Z* -> Z\nvar y : N^l\n",
+    "annotation-unknown-op.rules": "sort Z\nvar x : Z\nrule x << [Z^zz] x -> ()\n",
+    "star-off-codomain.rules": "sort Z\nsort N <: Z\nvop l : Z* -> Z\nsvar w* : N^l\n",
     "subsort-cycle.rules": "sort A <: B\nsort B <: A\n",
     "two-parents.rules": "sort A <: B\nsort A <: C\nsort B\nsort C\n",
     "duplicates.rules": "sort Z\nop f : Z -> Z\nop f : Z -> Z\nvar x : Z\nvar x : Z\n",

@@ -3,7 +3,8 @@ inference, constraint solving, or context validation, and print derivations,
 constraint sets, substitutions, and diagnostics as text or JSON.
 
 Exit codes: 0 well-typed/solved, 1 type error/failed, 2 parse error,
-3 ill-formed signature or mode mismatch, 4 stuck, 5 enumeration budget
+3 ill-formed signature (a typing or match annotation at a type outside the
+ground universe among them) or mode mismatch, 4 stuck, 5 enumeration budget
 exceeded.  A file with several rules exits with the worst per-rule code.
 
 The common argument forms are read directly: ``check``, ``infer``, ``solve``
@@ -342,8 +343,8 @@ def run(argv: list[str]) -> int:
         print(f"{name}:{exc.pos}: parse error: {exc.message}", file=sys.stderr)
         return 2
 
-    ctx = build_context(sf)
-    violations = validate(ctx)
+    ctx, rules = build_context(sf), sf.rules
+    violations = validate(ctx, [d.rule for d in rules])
 
     if args.command == "validate":
         report.update(ok=not violations,
@@ -355,7 +356,7 @@ def run(argv: list[str]) -> int:
     if args.command == "check" and not problems:
         problems = [f"{name}:{d.pos}: check mode needs a ground typing for "
                     f"{d.name}{'*' if isinstance(d, SvarDecl) else ''}" for d in sf.fresh_marked]
-        problems += [f"{name}:{d.pos}: check mode needs ground match annotations" for d in sf.rules
+        problems += [f"{name}:{d.pos}: check mode needs ground match annotations" for d in rules
                      if any(m.at is None for m in getattr(d.rule.cond, "conds", [d.rule.cond]))]
     if problems:
         print("\n".join(problems), file=sys.stderr)
@@ -364,7 +365,7 @@ def run(argv: list[str]) -> int:
     codes = [0]
     rendered = report["rules"] = []
     budget = args.max_enum if getattr(args, "oracle", False) else None
-    for index, decl in enumerate(sf.rules, start=1):
+    for index, decl in enumerate(rules, start=1):
         # Checking and inference walk terms recursively, so a term too deep
         # for the interpreter's stack is a per-rule error, not a crash.
         # Rendering keeps its own stacks, and runs after the guard.

@@ -15,9 +15,11 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Union
 
 from .core import (
     ANY,
+    Conj,
     DecoratedSort,
     Decoration,
     ListApp,
+    Rule,
     Sort,
     StarVar,
     SynApp,
@@ -191,7 +193,7 @@ class Context:
         self._star_types: dict[str, TypeTerm] = {}
         for table, pairs, what in zip((self._var_types, self._star_types), typings,
                                       ("variable {}", "star variable {}*")):
-            for name, tt in pairs.items() if isinstance(pairs, Mapping) else pairs:
+            for name, tt in pairs.items() if isinstance(pairs, (dict, MappingProxyType)) else pairs:
                 if name in table:
                     self._construction_violations.append(
                         Violation("duplicate-typing", f"{what.format(name)} typed more than once"))
@@ -345,12 +347,18 @@ class Context:
             yield arg, STAR if arg.__class__ is StarVar else MERGE if raw_typing(arg) is codomain else ELEM
 
 
-def validate(ctx: Context) -> list[Violation]:
-    """Check the context's well-formedness clauses.
+def validate(ctx: Context, rules: Iterable[Rule] = ()) -> list[Violation]:
+    """Check the well-formedness clauses of the context and of the match
+    annotations of ``rules``; an empty list means all hold.
 
     Reports subsort cycles (antisymmetry), multiple inheritance, operator
-    overloading, duplicate typings, and references to undeclared sorts or
-    operators; an empty list means the context is well-formed.
+    overloading, duplicate typings, undeclared sorts, and ground types
+    outside the universe: each declared sort at ``?``, and each operator
+    ``f``'s codomain ``S^f``.  Every variable typing and match annotation
+    must lie in it (``unknown-type``), and every star typing must be a
+    variadic operator's codomain (``bad-star-typing``).  So the decorated
+    order ``S^f ≤ S^? ≤ P^?`` on the types a file names is a forest, as the
+    resolution rules assume: each element has at most one cover.
     """
     violations = list(ctx._construction_violations)
     declared = set(ctx.sorts)
@@ -395,35 +403,33 @@ def validate(ctx: Context) -> list[Violation]:
             path.append(p)
             tried.append(0)
 
-    ranks: list[Rank] = list(ctx.syn_ranks.values()) + list(ctx.var_ranks.values())
-    for rank in ranks:
-        mentioned = list(rank.domain) if isinstance(rank, SynRank) else [rank.elem]
-        mentioned.append(rank.codomain)
-        for d in mentioned:
+    syn_ranks, var_ranks = ctx._syn_ranks, ctx._var_ranks
+    for rank in (*syn_ranks.values(), *var_ranks.values()):
+        for d in (*rank.domain, rank.codomain) if rank.__class__ is SynRank else (rank.elem, rank.codomain):
             if d.sort not in declared:
-                violations.append(
-                    Violation("unknown-sort", f"rank of {rank.op} mentions undeclared sort {d.sort}")
-                )
+                violations.append(Violation("unknown-sort", f"rank of {rank.op} mentions undeclared sort {d.sort}"))
 
-    for name, tt in ctx.var_types.items():
-        if isinstance(tt, DecoratedSort) and tt.sort not in declared:
-            violations.append(
-                Violation("unknown-sort", f"variable {name} typed at undeclared sort {tt.sort}")
-            )
-
-    for name, ds in ctx.star_types.items():
-        if not isinstance(ds, DecoratedSort):
+    # Every ground type the file names lies in the universe: a declared sort
+    # at ?, or an operator's own codomain (a variadic one's, for a star).
+    named = [("variable {} typed", name, t, False) for name, t in ctx._var_types.items()]
+    named += [("star variable {}* typed", name, t, True) for name, t in ctx._star_types.items()]
+    named += [("match {0[0]} of rule {0[1]} annotated", (j, i), m.at, False)
+              for i, rule in enumerate(rules, start=1)
+              for j, m in enumerate(rule.cond.conds if rule.cond.__class__ is Conj else (rule.cond,), start=1)]
+    for who, name, t, star in named:
+        if t.__class__ is not DecoratedSort:
+            continue  # a type variable, or a [?] left to inference
+        op = t.deco.symbol
+        rank = var_ranks.get(op) if star else syn_ranks.get(op) or var_ranks.get(op) if op else None
+        if t.sort not in declared:
+            violations.append(Violation("unknown-sort", f"{who.format(name)} at undeclared sort {t.sort}"))
+        if rank.codomain is t if rank else op is None and not star:
             continue
-        if ds.sort not in declared:
-            violations.append(
-                Violation("unknown-sort", f"star variable {name}* typed at undeclared sort {ds.sort}")
-            )
-        if ds.deco.is_any or ds.deco.symbol not in ctx.var_ranks:
-            violations.append(
-                Violation(
-                    "bad-star-typing",
-                    f"star variable {name}* must be typed at a variadic operator's list type, got {ds}",
-                )
-            )
+        if star:
+            violations.append(Violation("bad-star-typing", f"star variable {name}* must be typed at a "
+                                                           f"variadic operator's list type, got {t}"))
+        elif t.sort in declared:
+            violations.append(Violation("unknown-type", f"{who.format(name)} at {t}, which is neither a "
+                                                        "declared sort at ? nor an operator's codomain"))
 
     return violations

@@ -44,21 +44,12 @@ class BudgetExceeded(Exception):
 # Ground universe and satisfiability by enumeration
 
 def ground_universe(ctx: Context) -> tuple[DecoratedSort, ...]:
-    """Every decorated sort expressible from the context: each sort with the
-    don't-care decoration, every rank codomain, and every ground decorated
-    sort mentioned by a typing."""
-    out: dict[DecoratedSort, None] = {}
-    for s in ctx.sorts:
-        out.setdefault(DecoratedSort(s))
-    for rank in ctx.syn_ranks.values():
-        out.setdefault(rank.codomain)
-    for rank in ctx.var_ranks.values():
-        out.setdefault(rank.codomain)
-    for table in (ctx.var_types, ctx.star_types):
-        for tt in table.values():
-            if isinstance(tt, DecoratedSort):
-                out.setdefault(tt)
-    return tuple(out)
+    """The ground universe: each declared sort with the don't-care decoration,
+    then every rank codomain.  It is exactly the set of ground types that
+    :func:`~ruletypes.context.validate` admits in a typing or a match
+    annotation, so a validated context's typings add nothing to it."""
+    ranks = (*ctx.syn_ranks.values(), *ctx.var_ranks.values())
+    return (*map(DecoratedSort, ctx.sorts), *(rank.codomain for rank in ranks))
 
 
 def enumerate_solutions(
@@ -616,7 +607,7 @@ def gen_instance(seed: int, params: GenParams = GenParams()) -> tuple[Context, R
     seed and parameters always reproduce the same instance."""
     rng = random.Random(seed)
     instance = _InstanceBuilder(rng, params).build()
-    assert not validate(instance[0]), "generator produced an ill-formed signature"
+    assert not validate(instance[0], [instance[1]]), "generator produced an ill-formed instance"
     return instance
 
 

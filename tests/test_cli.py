@@ -61,6 +61,20 @@ def test_cli_sweep_matches_the_record(capsys, fixtures_dir):
     assert capsys.readouterr().out == (fixtures_dir / "golden" / "cli_sweep.txt").read_text("utf-8")
 
 
+# Files that name a ground type outside the universe (each declared sort at
+# ?, and each operator's own codomain): ill-formed signatures.  At N^l, y
+# lies below both Z^l and N^?, so the decorated order is no longer a forest.
+OUTSIDE_UNIVERSE = {
+    "baseline.rules": "sort Z\nsort N <: Z\nvop l : Z* -> Z\nop one : -> N\nvar y : N^l\n"
+                      "rule y << [?] w /\\ l(x*) << [?] w /\\ w << [Z^l] v -> ()\n",
+    "annotation.rules": "sort Z\nsort N <: Z\nvop l : Z* -> Z\nop one : -> N\nvar y : N\n"
+                        "rule y << [Q^zz] l(one()) -> ()\n",
+}
+OUTSIDE_UNIVERSE["sibling.rules"] = OUTSIDE_UNIVERSE["baseline.rules"].replace(
+    "var y", "op s : N -> N\nvar y") + "rule w << [?] v /\\ s(w) << [?] u /\\ w << [Z^l] t -> ()\n"
+CORE_COMMANDS = ("validate", "check", "infer", "solve")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["solve", "{fixtures}/example4.rules"], 0),
     (["solve", "{fixtures}/corpus/seed_017.rules"], 1),     # failed(4)
@@ -73,9 +87,13 @@ def test_cli_sweep_matches_the_record(capsys, fixtures_dir):
     (["solve", "{fixtures}/example4.rules", "--oracle", "--max-enum", "1"], 5),
     (["solve", "{fixtures}/example4.rules", "--oracle", "--max-enum", "-5"], 2),
     (["solve", "{fixtures}/example4.rules", "--seed", "0"], 2),  # no such option: the CLI reads files only
+    *[([command, f"{{tmp}}/{name}"], 3) for name in OUTSIDE_UNIVERSE for command in CORE_COMMANDS],
 ], ids=["solved", "failed", "missing-file", "parse-error", "not-utf8", "ill-formed",
-        "mode-mismatch", "stuck", "enumeration-budget", "negative-budget", "file-and-seed"])
+        "mode-mismatch", "stuck", "enumeration-budget", "negative-budget", "file-and-seed",
+        *[f"outside-universe-{name[:-6]}-{command}" for name in OUTSIDE_UNIVERSE for command in CORE_COMMANDS]])
 def test_exit_codes(capsys, tmp_path, fixtures_dir, argv, code):
+    for name, source in OUTSIDE_UNIVERSE.items():
+        (tmp_path / name).write_text(source)
     (tmp_path / "garbage.rules").write_text("rule (\n")
     (tmp_path / "latin1.rules").write_bytes(b"sort Z\n\xff\n")
     (tmp_path / "cycle.rules").write_text("sort A <: B\nsort B <: A\n")
@@ -671,6 +689,44 @@ def test_validate_reports_ok_or_the_violations(capsys, tmp_path, example2_path):
     assert json.loads(capsys.readouterr().out) == {
         "command": "validate", "ok": False,
         "violations": [{"kind": "subsort-cycle", "detail": "subsort cycle through A <: B <: A"}]}
+
+
+OFF_CODOMAIN = {"kind": "unknown-type", "detail": "variable y typed at N^l, which is neither a "
+                                                  "declared sort at ? nor an operator's codomain"}
+
+
+@pytest.mark.parametrize("name, violation", [
+    ("baseline.rules", OFF_CODOMAIN),
+    ("sibling.rules", OFF_CODOMAIN),
+    ("annotation.rules", {"kind": "unknown-sort", "detail": "match 1 of rule 1 annotated at undeclared sort Q"}),
+])
+@pytest.mark.parametrize("command", CORE_COMMANDS)
+def test_types_outside_the_universe_are_named_violations(capsys, monkeypatch, tmp_path, name, violation,
+                                                         command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(OUTSIDE_UNIVERSE[name])
+    assert cli.run([command, "--format", "json", name]) == 3
+    out, err = capsys.readouterr()
+    if command == "validate":
+        assert (json.loads(out)["violations"], err) == ([violation], "")
+    else:
+        assert (out, err) == ("", f"{name}: {violation['kind']}: {violation['detail']}\n")
+
+
+def test_oracle_agrees_once_typings_lie_in_the_universe(capsys, tmp_path):
+    # Typed at N^l, y made the solver, which assumes a forest, fail sets that
+    # the enumeration satisfied; such a file is now refused before either
+    # runs.  Typed at N^?, in the universe, both agree.
+    for name in ("baseline.rules", "sibling.rules"):
+        path = tmp_path / name
+        path.write_text(OUTSIDE_UNIVERSE[name])
+        code = cli.run(["solve", "--oracle", str(path)])
+        out, err = capsys.readouterr()
+        assert "DISAGREES" not in out + err and code == 3
+        path.write_text(OUTSIDE_UNIVERSE[name].replace("var y : N^l", "var y : N"))
+        assert cli.run(["solve", "--oracle", str(path)]) == 1
+        verdicts = [line for line in capsys.readouterr().out.splitlines() if "oracle" in line]
+        assert verdicts == [f"rule {i}: oracle agrees" for i in range(1, len(verdicts) + 1)] and verdicts
 
 
 def test_long_subsort_chain_validates(capsys, tmp_path):

@@ -11,7 +11,8 @@ import support
 from support import g
 
 from ruletypes import Context, ListApp, Sort, StarVar, SynApp, SynRank, Var, VariadicRank, dsort, validate
-from ruletypes.core import DecoratedSort, Decoration
+from ruletypes.core import Conj, DecoratedSort, Decoration, Match, Rule
+from ruletypes.oracle import ground_universe
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +221,69 @@ def test_rejects_unknown_sort_and_bad_star_typing():
     )
     kinds = {v.kind for v in validate(ctx)}
     assert "bad-star-typing" in kinds and "unknown-sort" in kinds
+
+
+def test_ground_types_outside_the_universe_are_reported_in_declaration_order():
+    # The universe is Z^?, N^?, Z^l and N^one.  Q is undeclared; N^l and
+    # Z^zz lie outside it; a star needs a variadic operator's codomain.
+    ctx = Context(
+        sorts=[Sort("Z"), Sort("N")],
+        ranks=[VariadicRank.make("l", Sort("Z"), Sort("Z")), SynRank.make("one", [], Sort("N"))],
+        var_types={"a": g("Q"), "b": g("N", "l"), "c": g("N", "one"), "d": g("Z", "l")},
+        star_types={"w": g("Q", "l"), "u": g("N", "one"), "v": g("Z", "l")},
+    )
+    rule = Rule(Conj((Match(Var("a"), Var("b"), g("Z", "zz")), Match(Var("c"), Var("d"), None))))
+    expected = [
+        ("unknown-sort", "variable a typed at undeclared sort Q"),
+        ("unknown-type", "variable b typed at N^l, which is neither a declared sort at ? "
+                         "nor an operator's codomain"),
+        ("unknown-sort", "star variable w* typed at undeclared sort Q"),
+        ("bad-star-typing", "star variable w* must be typed at a variadic operator's list type, got Q^l"),
+        ("bad-star-typing", "star variable u* must be typed at a variadic operator's list type, got N^one"),
+    ]
+    assert [(v.kind, v.detail) for v in validate(ctx)] == expected
+    assert [(v.kind, v.detail) for v in validate(ctx, [rule, rule])] == expected + [
+        ("unknown-type", f"match 1 of rule {i} annotated at Z^zz, which is neither a declared sort at ? "
+                         "nor an operator's codomain") for i in (1, 2)]
+
+
+@st.composite
+def signatures_and_rules(draw):
+    """A well-formed signature (declared sorts, single inheritance, no
+    cycle), with typings and annotations that mostly, not always, lie in
+    its universe."""
+    sorts = [Sort(f"S{i}") for i in range(draw(st.integers(1, 4)))]
+    edges = [(s, sorts[draw(st.integers(0, i - 1))]) for i, s in enumerate(sorts[1:], 1) if draw(st.booleans())]
+    some_sort = st.sampled_from(sorts)
+    ranks = [SynRank.make(f"f{i}", draw(st.lists(some_sort, max_size=2)), draw(some_sort))
+             for i in range(draw(st.integers(0, 3)))]
+    ranks += [VariadicRank.make(f"L{i}", draw(some_sort), draw(some_sort)) for i in range(draw(st.integers(0, 2)))]
+    signature = Context(sorts, edges, ranks)
+    inside = st.sampled_from(ground_universe(signature))
+    anywhere = st.builds(DecoratedSort, st.sampled_from(sorts + [Sort("Q")]),
+                         st.sampled_from([None, "zz"] + [r.op for r in ranks]).map(Decoration))
+    types = st.one_of(inside, inside, inside, anywhere)
+    ctx = signature.with_typings(draw(st.dictionaries(st.sampled_from("xyz"), types, max_size=3)),
+                                 draw(st.dictionaries(st.sampled_from("uvw"), types, max_size=2)))
+    matches = [Match(Var("x"), Var("y"), at) for at in draw(st.lists(st.none() | types, min_size=1, max_size=3))]
+    return ctx, Rule(matches[0] if len(matches) == 1 else Conj(matches))
+
+
+@given(signatures_and_rules())
+def test_a_validated_universe_is_a_forest(instance):
+    ctx, rule = instance
+    universe = ground_universe(ctx)
+    list_types = {rank.codomain for rank in ctx.var_ranks.values()}
+    anns = [m.at for m in getattr(rule.cond, "conds", (rule.cond,)) if m.at is not None]
+    admitted = set(ctx.var_types.values()) | set(anns) <= set(universe) and set(ctx.star_types.values()) <= list_types
+    assert (validate(ctx, [rule]) == []) == admitted
+    if not admitted:
+        return
+    below = ctx.subtype_holds
+    for x in universe:
+        above = [y for y in universe if y is not x and below(x, y)]
+        covers = [y for y in above if not any(z is not y and below(z, y) for z in above)]
+        assert len(covers) <= 1, (x, covers)
 
 
 def test_duplicate_typing_reported():
