@@ -14,7 +14,11 @@ unless stdout, stderr and the exit code are byte-equal.  Then a round runs
 every op of a workload once per checkout, as the benchmark does (``--format
 json``, no trace), the checkouts' order alternating from round to round,
 and the script prints, per workload and kind, the median over rounds of
-the ratio B/A of op time.  Without ``--kind``, every kind is compared.
+the ratio B/A of the round's op time, then the ratio B/A of the p50 and of
+the tail percentile of single ops, pooled over rounds.  The tail is the
+benchmark's (``bench/run.py``): the highest usual percentile with at least
+ten of a round's ops beyond it, p95 on corpus-mix and p80 on wide-lists.
+Without ``--kind``, every kind is compared.
 """
 
 from __future__ import annotations
@@ -47,14 +51,20 @@ def load(checkout: Path, alias: str) -> ModuleType:
     return importlib.import_module(f"{alias}.cli")
 
 
-def build_inputs(out: Path) -> dict[str, dict[str, list[str]]]:
-    """Each workload's input files per op kind, for its seed-1 cases."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]  # corpus-mix draws on ruletypes
+def bench(name: str) -> ModuleType:
+    """The module ``name`` of this repository's ``bench/``."""
+    if str(ROOT / "bench") not in sys.path:
+        sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]  # corpus-mix draws on ruletypes
     sys.dont_write_bytecode = True  # leave no cache files under bench/
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.dont_write_bytecode = False
+
+
+def build_inputs(out: Path) -> dict[str, dict[str, list[str]]]:
+    """Each workload's input files per op kind, for its seed-1 cases."""
+    workloads = bench("workloads")
     inputs = {}
     for name in workloads.WORKLOADS:
         cases = workloads.build(name, SEED, ROOT, out / name)
@@ -71,16 +81,17 @@ def run(cli: ModuleType, argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def time_ops(cli: ModuleType, kind: str, paths: list[str]) -> int:
-    """Nanoseconds to run ``kind --format json`` on every path."""
+def time_ops(cli: ModuleType, kind: str, paths: list[str]) -> list[int]:
+    """Nanoseconds of each ``kind --format json`` op, one per path."""
     ops = [[kind, path, "--format", "json"] for path in paths]
-    runner = cli.run
+    runner, clock, times = cli.run, time.perf_counter_ns, []
     gc.collect()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        t0 = time.perf_counter_ns()
         for argv in ops:
+            t0 = clock()
             runner(argv)
-        return time.perf_counter_ns() - t0
+            times.append(clock() - t0)
+    return times
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -109,19 +120,24 @@ def main(argv: list[str] | None = None) -> int:
                         if run(sides[0], op) != run(sides[1], op):
                             sys.exit(f"{name}: the checkouts print differently on {' '.join(op)}")
 
+        stats = bench("run")
         print(f"op time B/A, median of {opts.rounds} round(s); A = {opts.a}, B = {opts.b}")
         for name, by_kind in inputs.items():
             for kind in kinds:
-                paths, ratios, totals = by_kind[kind], [], ([], [])
+                paths, ratios, totals, pooled = by_kind[kind], [], ([], []), ([], [])
                 for r in range(opts.rounds):
                     order = (0, 1) if r % 2 == 0 else (1, 0)
                     ns = {side: time_ops(sides[side], kind, paths) for side in order}
-                    totals[0].append(ns[0])
-                    totals[1].append(ns[1])
-                    ratios.append(ns[1] / ns[0])
+                    for side in (0, 1):
+                        totals[side].append(sum(ns[side]))
+                        pooled[side].extend(ns[side])
+                    ratios.append(totals[1][-1] / totals[0][-1])
+                tail = stats.tail_percentile(len(paths))
+                a, b = ({p: stats.percentile(pooled[side], p) for p in (50, tail)} for side in (0, 1))
                 print(f"{name:>11} {kind:>5}: {len(paths)} ops, A {statistics.median(totals[0]) / 1e6:.1f} ms, "
                       f"B {statistics.median(totals[1]) / 1e6:.1f} ms per round, "
-                      f"B/A {statistics.median(ratios):.3f}")
+                      f"B/A {statistics.median(ratios):.3f}; p50 B/A {b[50] / a[50]:.3f}, "
+                      f"p{tail} B/A {b[tail] / a[tail]:.3f}")
     return 0
 
 

@@ -11,17 +11,25 @@ codes, the tags of hash-consing (Filliâtre and Conchon).  In one ``solve``
 ``((l << 40 | r) << 1) | is_sub``; subtyping and joins are memoized by codes.
 
 - **Stable slots.**  Each distinct constraint keeps a slot, with its key,
-  sides and kind in arrays.  A rule's product takes its first consumed
-  slot, a binding rewrites in place the slots its variable occurs in, and
+  sides and kind in arrays; the input fills them in order, so each bucket
+  starts as appends.  A rule's product takes its first consumed slot, and
   of two equal constraints the lower slot survives.  Bounds sit in sorted
   per-variable buckets, and once patterns (1)–(3) have passed, every pair
   in a bucket qualifies: rules (6), (7) and (9)–(12) fire on bucket heads.
 - **One heap of candidates** ``(rule, slot, β or partner slot)``, checked at
-  the top: a step pops the candidate it consumes, and stale ones as they
-  surface.  Rules (1)–(5) are pushed on add; once the top is (6) or above,
-  the step pushes those of (6)–(14) on what changed since, except on
-  buckets emptied since.  The heap and the occurrence sets are built once the first
-  failure scan has passed.
+  the top: the loop consumes a live one of (1)–(5) inline and drops stale
+  ones as they surface.  Rules (1)–(5) are pushed on placing; once the top
+  is (6) or above, the loop pushes those of (6)–(14) on what changed since,
+  except on buckets emptied since.  The heap and the occurrence sets are
+  built in one pass once the first failure scan has passed.
+- **A binding rewrites in place.**  The bound variable leaves the set with
+  its buckets and occurrences; each slot it occurs in keeps its index, and
+  only its key, sides and kind change.  Only the image variable gains the
+  slot as an occurrence; a chain also leaves its bucket under its other
+  variable, and placing files the slot as what it has become.  Skipping a
+  removal and insertion loses no candidate: one becomes eligible only when
+  a slot is placed, which the rewrite does, or when an occurrence set
+  shrinks to one, which only a removal does, and both still push.
 - **The failure scan** pairs the bounds and failing slots filled since the
   last scan, the only ones it reads, with their bucket partners, and takes
   the smallest failing pair; with none filled, it does not run.
@@ -40,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import defaultdict
 from functools import cached_property, partial
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Union
 
 from .context import Context
@@ -123,29 +131,52 @@ def _constraint(grounds: list[DecoratedSort], cache: dict[int, Constraint], key:
 
 
 class _State:
-    """The work list as stable slots and its indexes.  ``fresh``: the bounds and failing slots filled
-    since the last failure scan; ``dirty``, ``pending``: the buckets and bound slots changed since the
-    last refresh."""
+    """The work list as stable slots and its indexes: the live constraints are the keys of ``where``.
+    ``fresh``: the bounds and failing slots filled since the last failure scan; ``dirty``,
+    ``pending``: the buckets and bound slots changed since the last refresh."""
 
     def __init__(self, ctx: Context, constraints: Iterable[Constraint]):
-        self.ctx, items = ctx, list(constraints)
+        self.ctx = ctx
         # Ground types by code, codes by ground, constraints by key, holds and common by codes.
         self.grounds, self.codes, self.cache, self.memo = [], {}, {}, {}
-        self.keys, self.L, self.R, self.K = ([0] * len(items) for _ in range(4))
-        self.where, self.occ, self.heap, self.dirty = {}, defaultdict(set), [], set()
-        self.buckets = ({}, {}, {}, {})  # lower, upper, chain by α, by β: variable → sorted slots
-        self.fresh, self.pending, self.log, self.n, self.nsub = [], [], [], 0, 0
-        code, codes, cache, where = self.code, self.codes, self.cache, self.where
-        for c in items:
+        keys, L, R, K = self.keys, self.L, self.R, self.K = [], [], [], []
+        where, fresh = self.where, self.fresh = {}, []
+        self.occ, self.heap, self.dirty, self.pending, self.log = defaultdict(set), [], set(), [], []
+        lower, upper, by_l, by_r = self.buckets = {}, {}, {}, {}  # variable → sorted slots
+        code, codes, cache, holds, nsub = self.code, self.codes, self.cache, self.holds, 0
+        for c in constraints:  # slots are numbered in order, so a bucket takes an append
             l, r = c
             l = l.id << 1 if l.__class__ is TypeVar else codes.get(l) or code(l)
             r = r.id << 1 if r.__class__ is TypeVar else codes.get(r) or code(r)
             if (l | r) > _SIDE:
                 raise ValueError(f"type variable ids must be below 2^39: {c}")
-            key = (l << 40 | r) << 1 | (c.__class__ is Sub)
-            if key not in where:
-                cache[key] = c
-                self._place(len(where), key)
+            sub = c.__class__ is Sub
+            if (key := (l << 40 | r) << 1 | sub) in where:
+                continue
+            s = where[key] = len(keys)
+            cache[key], nsub = c, nsub + sub
+            keys.append(key)
+            L.append(l)
+            R.append(r)
+            if l == r:
+                kind = 2 if sub else 1
+            elif not sub:
+                kind = 4 if not l & 1 else 5 if not r & 1 else -5
+            elif not l & 1:
+                kind = _CHAIN if not r & 1 else _UPPER
+            else:
+                kind = _LOWER if not r & 1 else 3 if holds(l, r) else -4
+            K.append(kind)
+            if kind == _CHAIN:
+                by_l.setdefault(l, []).append(s)
+                by_r.setdefault(r, []).append(s)
+            elif kind >= _LOWER or kind < 0:  # what the scan reads
+                fresh.append(s)
+                if kind == _LOWER:
+                    lower.setdefault(r, []).append(s)
+                elif kind == _UPPER:
+                    upper.setdefault(l, []).append(s)
+        self.nsub = nsub
 
     def code(self, ground: DecoratedSort) -> int:
         c = self.codes.get(ground)  # decorated sorts are interned: an identity hash
@@ -165,7 +196,7 @@ class _State:
         return self.memo[key]
 
     def _place(self, s: int, key: int) -> None:
-        """Fill slot ``s`` as far as the failure scan reads it."""
+        """Fill slot ``s`` with ``key`` and index it for the scan and the steps, all but its occurrences."""
         l, r, sub = key >> 41, key >> 1 & _SIDE, key & 1
         self.keys[s], self.L[s], self.R[s], self.where[key] = key, l, r, s
         if l == r:
@@ -176,34 +207,27 @@ class _State:
             kind = _CHAIN if not r & 1 else _UPPER
         else:
             kind = _LOWER if not r & 1 else 3 if self.holds(l, r) else -4
-        self.K[s], self.n, self.nsub = kind, self.n + 1, self.nsub + sub
+        self.K[s] = kind
         if kind == _LOWER or kind == _UPPER or kind < 0:  # what the scan reads
             self.fresh.append(s)
         if kind >= _LOWER:
             for home in _homes(kind, l, r):
                 insort(self.buckets[home[0]].setdefault(home[1], []), s)
                 self.dirty.add(home)
-
-    def link(self, s: int) -> None:
-        """Index a placed slot for the steps."""
-        kind, l, r = self.K[s], self.L[s], self.R[s]
-        if kind >= _LOWER:
             self.pending.append(s)
         elif kind > 0:
             heappush(self.heap, (kind, s, 0))
-        for v in (l, r):
-            if not v & 1:
-                self.occ[v].add(s)
 
     def _remove(self, s: int) -> None:
         key, kind, l, r = self.keys[s], self.K[s], self.L[s], self.R[s]
         del self.where[key]
-        self.K[s], self.n, self.nsub = 0, self.n - 1, self.nsub - (key & 1)
+        self.K[s], self.nsub = 0, self.nsub - (key & 1)
         if kind >= _LOWER:
             for home in _homes(kind, l, r):
-                bucket = self.buckets[home[0]][home[1]]
-                del bucket[bisect_left(bucket, s)]
-                self.dirty.add(home)
+                bucket = self.buckets[home[0]].get(home[1])  # none for the variable being bound
+                if bucket is not None:
+                    del bucket[bisect_left(bucket, s)]
+                    self.dirty.add(home)
         for v in (l, r):
             occ = self.occ.get(v)  # none for a ground, or for the variable being bound
             if occ is not None:
@@ -219,7 +243,10 @@ class _State:
                 return
             self._remove(m)
         self._place(s, key)
-        self.link(s)
+        self.nsub += key & 1
+        for v in (self.L[s], self.R[s]):
+            if not v & 1:
+                self.occ[v].add(s)
 
     def _pair(self, rule: int, v: int) -> tuple[int, int] | None:
         a, b = _PAIRS[rule]
@@ -280,51 +307,6 @@ class _State:
         self.fresh.clear()
         return min(found) if found else None
 
-    def step(self) -> bool:
-        """Apply the lowest-numbered rule at its first match and log it, or
-        return ``False`` when no rule applies."""
-        heap, keys, L, R, K = self.heap, self.keys, self.L, self.R, self.K
-        while heap and heap[0][0] < 6:
-            rule, s, _ = heappop(heap)  # a live one is consumed here, a stale one dropped
-            if K[s] == rule:
-                slots = (s,)
-                break
-        else:
-            self._refresh()
-            while heap and (slots := self._match(*heap[0])) is None:
-                heappop(heap)
-            if not heap:
-                return False
-            rule = heappop(heap)[0]
-        ci, cj = slots[0], slots[-1]
-        label, made, var, image = rule, -1, -1, 0  # the label as ``trace`` prints it, after ``str``
-        if rule == 4 or rule == 13:
-            var, image = L[ci], R[ci]
-        elif rule == 5 or rule == 14:
-            var, image = R[ci], L[ci]
-        elif rule == 6:
-            made = (self.code(self.common(L[ci], L[cj])) << 40 | R[ci]) << 1 | 1
-        elif rule == 7:
-            label, made = ("7a", keys[ci]) if self.holds(R[ci], R[cj]) else ("7b", keys[cj])
-        elif rule == 8:
-            made = (L[ci] << 40 | R[ci]) << 1
-        elif rule > 8:
-            made = (L[ci] << 40 | R[cj]) << 1 | 1
-            var, image = R[ci], L[ci] if rule == 11 else R[cj]
-        entry = (label, keys[ci], keys[cj] if cj != ci else -1, made, var, image)
-        for i in slots:
-            self._remove(i)
-        if made >= 0:
-            self._insert(min(slots), made)
-        if var >= 0:
-            for i in self.occ.pop(var, ()):
-                if K[i]:
-                    key, l, r = keys[i], L[i], R[i]
-                    self._remove(i)
-                    self._insert(i, ((image if l == var else l) << 40 | (image if r == var else r)) << 1 | key & 1)
-        self.log.append(entry + (self.n, self.nsub))
-        return True
-
     def decode(self, slots: Iterable[int]) -> tuple[Constraint, ...]:
         return tuple(_constraint(self.grounds, self.cache, self.keys[s]) for s in slots)
 
@@ -353,15 +335,88 @@ def solve(ctx: Context, constraints: ConstraintSet | Iterable[Constraint]) -> So
     ``Stuck`` with the residual set if no rule applies.
     """
     hit = (state := _State(ctx, constraints)).failure()
-    for s in range(len(state.where)) if hit is None else ():
-        state.link(s)
-    while hit is None and state.n:
-        if not state.step():
-            outcome = Stuck._unchecked(ConstraintSet(state.decode(s for s, kind in enumerate(state.K) if kind)))
-            break
-        hit = state.failure() if state.fresh else None
+    heap, K, L, R, keys, where, occ = state.heap, state.K, state.L, state.R, state.keys, state.where, state.occ
+    buckets, fresh, pending, dirty, log = state.buckets, state.fresh, state.pending, state.dirty, state.log
+    if hit is None:  # index the slots for the steps
+        for s, kind in enumerate(K):
+            if kind >= _LOWER:
+                pending.append(s)
+            elif kind > 0:
+                heap.append((kind, s, 0))
+            for v in (L[s], R[s]):
+                if not v & 1:
+                    occ[v].add(s)
+        heapify(heap)
+        dirty.update((b, v) for b, bucket in enumerate(buckets) for v in bucket)
+    while hit is None and where:
+        if heap and heap[0][0] < 6:  # rules (1)–(5): a live candidate is consumed here, a stale one dropped
+            rule, ci, _ = heappop(heap)
+            if K[ci] != rule:
+                continue
+            key, l, r = keys[ci], L[ci], R[ci]
+            del where[key]
+            K[ci], state.nsub = 0, state.nsub - (key & 1)
+            var, image = (l, r) if rule == 4 else (r, l) if rule == 5 else (-1, 0)
+            if not r & 1 and r != var:  # the occurrence it leaves; the bound variable's go below
+                (left := occ[r]).discard(ci)
+                if len(left) == 1:
+                    pending.extend(left)
+            entry = (rule, key, -1, -1, var, image)
+        else:
+            state._refresh()
+            while heap and (slots := state._match(*heap[0])) is None:
+                heappop(heap)
+            if not heap:
+                outcome = Stuck._unchecked(ConstraintSet(state.decode(s for s, kind in enumerate(K) if kind)))
+                break
+            rule = heappop(heap)[0]
+            ci, cj = slots[0], slots[-1]
+            label, made, var, image = rule, -1, -1, 0  # the label as ``trace`` prints it, after ``str``
+            if rule == 13:
+                var, image = L[ci], R[ci]
+            elif rule == 14:
+                var, image = R[ci], L[ci]
+            elif rule == 6:
+                made = (state.code(state.common(L[ci], L[cj])) << 40 | R[ci]) << 1 | 1
+            elif rule == 7:
+                label, made = ("7a", keys[ci]) if state.holds(R[ci], R[cj]) else ("7b", keys[cj])
+            elif rule == 8:
+                made = (L[ci] << 40 | R[ci]) << 1
+            elif rule > 8:
+                made = (L[ci] << 40 | R[cj]) << 1 | 1
+                var, image = R[ci], L[ci] if rule == 11 else R[cj]
+            entry = (label, keys[ci], keys[cj] if cj != ci else -1, made, var, image)
+            for s in slots:
+                state._remove(s)
+            if made >= 0:
+                state._insert(min(slots), made)
+        if var >= 0:
+            for bucket in buckets:  # the variable leaves the set, and so do its buckets
+                if var in bucket:
+                    del bucket[var]
+            for s in occ.pop(var, ()):  # rewrite each occurrence in place
+                if not (kind := K[s]):
+                    continue
+                key, l, r = keys[s], L[s], R[s]
+                new = ((image if l == var else l) << 40 | (image if r == var else r)) << 1 | key & 1
+                if (m := where.get(new)) is not None:
+                    state._remove(max(m, s))  # of two equal constraints, the lower slot survives
+                    if m < s:
+                        continue
+                del where[key]
+                if kind == _CHAIN:  # it leaves its bucket on the other side too
+                    home = (3, r) if l == var else (2, l)
+                    bucket = buckets[home[0]][home[1]]
+                    del bucket[bisect_left(bucket, s)]
+                    dirty.add(home)
+                state._place(s, new)
+                if not image & 1:
+                    occ[image].add(s)
+        log.append(entry + (len(where), state.nsub))
+        if fresh:
+            hit = state.failure()
     else:
         outcome = Failed._unchecked(hit[0], state.decode(hit[1])) if hit is not None else Solved._unchecked(
             state.subst())
-    object.__setattr__(outcome, "_log", (state.log, state.grounds, state.cache))  # the trace, undecoded
+    object.__setattr__(outcome, "_log", (log, state.grounds, state.cache))  # the trace, undecoded
     return outcome

@@ -25,6 +25,7 @@ The format, one declaration per line, ``//`` comments::
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from typing import Union
 
 from .context import Context, SynRank, VariadicRank
@@ -97,11 +98,11 @@ class SourceFile(Value):
 
     decls: tuple[Decl, ...]
 
-    @property
+    @cached_property  # computed on first read; ==, hash, copy and pickle follow ``decls`` alone
     def rules(self) -> tuple[RuleDecl, ...]:
         return tuple(d for d in self.decls if isinstance(d, RuleDecl))
 
-    @property
+    @cached_property
     def fresh_marked(self) -> tuple[VarDecl | SvarDecl, ...]:
         """Variable declarations whose typing is the fresh marker ``?``."""
         return tuple(d for d in self.decls

@@ -7,11 +7,13 @@ the substitution and the residual.
 """
 
 import pathlib
+from collections import Counter
 
 import pytest
 
 import reference_solver as reference
 from support import wide_rule
+from ruletypes.core import Eq, TypeVar
 from ruletypes.infer import FreshSupply, infer_rule, init_context
 from ruletypes.oracle import erase_annotations, gen_constraints, strip_typings
 from ruletypes.solver import Failed, Solved, Stuck, detect_failure, solve
@@ -21,11 +23,13 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def assert_engines_agree(ctx, constraints):
+    """Both engines agree on ``constraints`` with every other one repeated,
+    reversed, and as given; returns the outcome on them as given."""
     items = list(constraints)
-    assert detect_failure(ctx, items) == reference.detect_failure(ctx, items)
-    assert detect_failure(ctx, items[::-1]) == reference.detect_failure(ctx, items[::-1])
-    outcome = solve(ctx, items)
-    assert outcome == reference.solve(ctx, items)
+    for variant in (items + items[::2], items[::-1], items):
+        assert detect_failure(ctx, variant) == reference.detect_failure(ctx, variant)
+        outcome = solve(ctx, variant)
+        assert outcome == reference.solve(ctx, variant)
     return outcome
 
 
@@ -102,3 +106,74 @@ def test_wide_list_fails_late():
     (gamma, constraints), = inferred_sets(wide_rule(80, "M(f(c(),c()))", at=76), False)
     outcome = assert_engines_agree(gamma, constraints)
     assert isinstance(outcome, Failed) and len(outcome.trace) > 100
+
+
+# ---------------------------------------------------------------------------
+# The cases a binding's in-place rewrite tells apart, replayed from the trace
+# on the work list as the reference engine keeps it: list order is slot order.
+
+def _class(ctx, c):
+    lhs, rhs = c
+    if isinstance(c, Eq) or lhs == rhs:
+        return "unit"  # consumed alone by rules (1)-(5)
+    if isinstance(lhs, TypeVar) or isinstance(rhs, TypeVar):
+        return "bound"
+    return "ground that holds" if ctx.subtype_holds(lhs, rhs) else "ground that fails"
+
+
+def rewrite_cases(ctx, constraints, trace):
+    """How often each case of a rewrite occurs in the bindings of ``trace``.
+    An equal constraint met is one the binding leaves as it is."""
+    items, cases, images = list(dict.fromkeys(constraints)), Counter(), set()
+    for step in trace:
+        first = min(items.index(c) for c in step.consumed)
+        rest = [c for c in items if c not in step.consumed]
+        items = list(dict.fromkeys(rest[:first] + list(step.produced) + rest[first:]))
+        if not step.bound:
+            continue
+        (var, image), = step.bound
+        if step.rule in ("13", "14") and var in images:
+            cases["an image variable fires (13)/(14)"] += 1
+        if isinstance(image, TypeVar):
+            images.add(image.id)
+
+        def rewrite(t):
+            return image if t == TypeVar(var) else t
+
+        new = [type(c)(rewrite(c.lhs), rewrite(c.rhs)) for c in items]
+        for i, (old, c) in enumerate(zip(items, new)):
+            if c == old:
+                continue
+            was, now = _class(ctx, old), _class(ctx, c)
+            upper = was == "bound" and isinstance(old.lhs, TypeVar) and not isinstance(old.rhs, TypeVar)
+            cases[f"{'upper bound' if upper and now.startswith('ground') else was} -> {now}"] += 1
+            unchanged = [j for j, (o, n) in enumerate(zip(items, new)) if n == c and o == c]
+            if any(j < i for j in unchanged):
+                cases["meets an equal constraint in a lower slot"] += 1
+            if any(j > i for j in unchanged):
+                cases["meets an equal constraint in a higher slot"] += 1
+        items = list(dict.fromkeys(new))
+    return cases
+
+
+def test_every_rewrite_case_is_reached():
+    # The differential inputs reach each case that the in-place rewrite of
+    # a binding tells apart, and the engines agree on all of them.
+    cases = Counter()
+    inputs = [gen_constraints(seed) for seed in range(1500)]
+    inputs += [gen_constraints(seed, 30, 80) for seed in range(500)]
+    inputs += [next(inferred_sets(wide_rule(width), False)) for width in (16, 36)]
+    for ctx, constraints in inputs:
+        cases += rewrite_cases(ctx, constraints, assert_engines_agree(ctx, constraints).trace)
+    assert set(cases) >= {
+        "unit -> unit",
+        "bound -> unit",  # a chain closed into a loop, or a ground bound onto its own ground
+        "upper bound -> ground that holds",  # then rule (3)
+        "upper bound -> ground that fails",  # then pattern (4)
+        "bound -> bound",
+        "meets an equal constraint in a lower slot",
+        "meets an equal constraint in a higher slot",
+        "an image variable fires (13)/(14)",
+    }, cases
+    # An equality stays one, and a loop stays a loop: no unit becomes a bound.
+    assert cases["unit -> bound"] == 0

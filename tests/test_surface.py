@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +30,17 @@ from ruletypes.surface import (
     pretty,
     render_instance,
 )
+
+
+def test_source_file_views_are_computed_once():
+    source = "sort Z\nvop l : Z* -> Z\nsvar x* : ?\nvar w : Z\nvar y : ?\nrule l(x*,y) << [?] w -> (y)\n"
+    sf, unread = parse(source), parse(source)
+    assert sf.rules is sf.rules and sf.fresh_marked is sf.fresh_marked
+    assert [d.name for d in sf.fresh_marked] == ["x", "y"] and len(sf.rules) == 1
+    # ==, hash, repr, copy and pickle follow the declarations alone, read or not
+    for other in (unread, copy.copy(sf), copy.deepcopy(sf), pickle.loads(pickle.dumps(sf))):
+        assert other == sf and hash(other) == hash(sf) and repr(other) == repr(sf)
+        assert other.rules == sf.rules and other.fresh_marked == sf.fresh_marked
 
 
 def test_running_example_parses(example2_path):
