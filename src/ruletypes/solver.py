@@ -11,17 +11,17 @@ codes, the tags of hash-consing (Filliâtre and Conchon).  In one ``solve``
 ``((l << 40 | r) << 1) | is_sub``; subtyping and joins are memoized by codes.
 
 - **Stable slots.**  Each distinct constraint keeps a slot, with its key,
-  sides and kind in arrays; the input fills them in order, so each bucket
-  starts as appends.  A rule's product takes its first consumed slot, and
-  of two equal constraints the lower slot survives.  Bounds sit in sorted
-  per-variable buckets, and once patterns (1)–(3) have passed, every pair
-  in a bucket qualifies: rules (6), (7) and (9)–(12) fire on bucket heads.
+  sides and kind in arrays; ``_place`` alone fills a slot and decides its
+  kind, the input's in order, so ``insort`` appends.  A rule's product takes
+  its first consumed slot; of two equal constraints the lower survives.
+  Bounds sit in sorted per-variable buckets; once patterns (1)–(3) pass, any
+  pair in a bucket qualifies: (6), (7) and (9)–(12) fire on bucket heads.
 - **One heap of candidates** ``(rule, slot, β or partner slot)``, checked at
   the top: the loop consumes a live one of (1)–(5) inline and drops stale
   ones as they surface.  Rules (1)–(5) are pushed on placing; once the top
   is (6) or above, the loop pushes those of (6)–(14) on what changed since,
-  except on buckets emptied since.  The heap and the occurrence sets are
-  built in one pass once the first failure scan has passed.
+  except on buckets emptied since.  The heap fills as slots are placed;
+  only the occurrence sets wait for the first failure scan to pass.
 - **A binding rewrites in place.**  The bound variable leaves the set with
   its buckets and occurrences; each slot it occurs in keeps its index, and
   only its key, sides and kind change.  Only the image variable gains the
@@ -48,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import defaultdict
 from functools import cached_property, partial
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Iterable, Union
 
 from .context import Context
@@ -131,52 +131,29 @@ def _constraint(grounds: list[DecoratedSort], cache: dict[int, Constraint], key:
 
 
 class _State:
-    """The work list as stable slots and its indexes: the live constraints are the keys of ``where``.
-    ``fresh``: the bounds and failing slots filled since the last failure scan; ``dirty``,
-    ``pending``: the buckets and bound slots changed since the last refresh."""
+    """The work list as stable slots, each filled by ``_place``, and its indexes: the live constraints
+    are the keys of ``where``.  ``fresh``: the bounds and failing slots filled since the last failure
+    scan; ``dirty``, ``pending``: the buckets and bound slots changed since the last refresh."""
 
     def __init__(self, ctx: Context, constraints: Iterable[Constraint]):
-        self.ctx = ctx
+        self.ctx, self.log = ctx, []
         # Ground types by code, codes by ground, constraints by key, holds and common by codes.
         self.grounds, self.codes, self.cache, self.memo = [], {}, {}, {}
-        keys, L, R, K = self.keys, self.L, self.R, self.K = [], [], [], []
-        where, fresh = self.where, self.fresh = {}, []
-        self.occ, self.heap, self.dirty, self.pending, self.log = defaultdict(set), [], set(), [], []
-        lower, upper, by_l, by_r = self.buckets = {}, {}, {}, {}  # variable → sorted slots
-        code, codes, cache, holds, nsub = self.code, self.codes, self.cache, self.holds, 0
-        for c in constraints:  # slots are numbered in order, so a bucket takes an append
+        code, codes, cache = self.code, self.codes, self.cache
+        for c in constraints:  # read once: code each constraint and keep the first of equal ones
             l, r = c
             l = l.id << 1 if l.__class__ is TypeVar else codes.get(l) or code(l)
             r = r.id << 1 if r.__class__ is TypeVar else codes.get(r) or code(r)
             if (l | r) > _SIDE:
                 raise ValueError(f"type variable ids must be below 2^39: {c}")
-            sub = c.__class__ is Sub
-            if (key := (l << 40 | r) << 1 | sub) in where:
-                continue
-            s = where[key] = len(keys)
-            cache[key], nsub = c, nsub + sub
-            keys.append(key)
-            L.append(l)
-            R.append(r)
-            if l == r:
-                kind = 2 if sub else 1
-            elif not sub:
-                kind = 4 if not l & 1 else 5 if not r & 1 else -5
-            elif not l & 1:
-                kind = _CHAIN if not r & 1 else _UPPER
-            else:
-                kind = _LOWER if not r & 1 else 3 if holds(l, r) else -4
-            K.append(kind)
-            if kind == _CHAIN:
-                by_l.setdefault(l, []).append(s)
-                by_r.setdefault(r, []).append(s)
-            elif kind >= _LOWER or kind < 0:  # what the scan reads
-                fresh.append(s)
-                if kind == _LOWER:
-                    lower.setdefault(r, []).append(s)
-                elif kind == _UPPER:
-                    upper.setdefault(l, []).append(s)
-        self.nsub = nsub
+            cache.setdefault((l << 40 | r) << 1 | (c.__class__ is Sub), c)
+        self.keys, n = list(cache), len(cache)
+        self.nsub = sum(key & 1 for key in self.keys)
+        self.L, self.R, self.K, self.where, self.fresh = [0] * n, [0] * n, [0] * n, {}, []
+        self.occ, self.heap, self.dirty, self.pending = defaultdict(set), [], set(), []
+        self.buckets = {}, {}, {}, {}  # variable → sorted slots: lower, upper, chain by α, chain by β
+        for s, key in enumerate(self.keys):
+            self._place(s, key)
 
     def code(self, ground: DecoratedSort) -> int:
         c = self.codes.get(ground)  # decorated sorts are interned: an identity hash
@@ -196,7 +173,7 @@ class _State:
         return self.memo[key]
 
     def _place(self, s: int, key: int) -> None:
-        """Fill slot ``s`` with ``key`` and index it for the scan and the steps, all but its occurrences."""
+        """Fill slot ``s`` with ``key``, decide its kind, and index it, all but its occurrences."""
         l, r, sub = key >> 41, key >> 1 & _SIDE, key & 1
         self.keys[s], self.L[s], self.R[s], self.where[key] = key, l, r, s
         if l == r:
@@ -337,22 +314,18 @@ def solve(ctx: Context, constraints: ConstraintSet | Iterable[Constraint]) -> So
     hit = (state := _State(ctx, constraints)).failure()
     heap, K, L, R, keys, where, occ = state.heap, state.K, state.L, state.R, state.keys, state.where, state.occ
     buckets, fresh, pending, dirty, log = state.buckets, state.fresh, state.pending, state.dirty, state.log
-    if hit is None:  # index the slots for the steps
-        for s, kind in enumerate(K):
-            if kind >= _LOWER:
-                pending.append(s)
-            elif kind > 0:
-                heap.append((kind, s, 0))
-            for v in (L[s], R[s]):
+    if hit is None:  # the occurrence sets, which a set failing at once never needs
+        for s, sides in enumerate(zip(L, R)):
+            for v in sides:
                 if not v & 1:
                     occ[v].add(s)
-        heapify(heap)
-        dirty.update((b, v) for b, bucket in enumerate(buckets) for v in bucket)
     while hit is None and where:
         if heap and heap[0][0] < 6:  # rules (1)–(5): a live candidate is consumed here, a stale one dropped
             rule, ci, _ = heappop(heap)
             if K[ci] != rule:
                 continue
+            # Not ``_remove``: through it the solver took 8–9% longer on the benchmark's sets, and 6–11%
+            # with the bound variable's occurrence set popped first, so that ``_remove`` skips it.
             key, l, r = keys[ci], L[ci], R[ci]
             del where[key]
             K[ci], state.nsub = 0, state.nsub - (key & 1)

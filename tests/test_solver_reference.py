@@ -24,12 +24,14 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 def assert_engines_agree(ctx, constraints):
     """Both engines agree on ``constraints`` with every other one repeated,
-    reversed, and as given; returns the outcome on them as given."""
+    reversed, and as given, and the indexed one also when it reads each of
+    these once, from a generator; returns the outcome on them as given."""
     items = list(constraints)
     for variant in (items + items[::2], items[::-1], items):
-        assert detect_failure(ctx, variant) == reference.detect_failure(ctx, variant)
+        hit = reference.detect_failure(ctx, variant)
+        assert detect_failure(ctx, variant) == hit == detect_failure(ctx, (c for c in variant))
         outcome = solve(ctx, variant)
-        assert outcome == reference.solve(ctx, variant)
+        assert outcome == reference.solve(ctx, variant) == solve(ctx, (c for c in variant))
     return outcome
 
 
