@@ -11,6 +11,11 @@ tests/fixtures/example2.rules --format json`` unless ``--args`` gives
 another.  One untimed run per checkout comes first.  The environment is
 inherited: with ``PYTHONDONTWRITEBYTECODE`` set, every run compiles the
 package.
+
+The script exits 1, naming each checkout's exit code and last line of
+stderr, when an untimed run exits 2 or 3 (no rule ran, so there is nothing
+worth timing), when the checkouts' untimed runs exit differently, or when a
+timed run exits otherwise than its checkout's untimed run.
 """
 
 from __future__ import annotations
@@ -23,14 +28,23 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 
-def run_once(checkout: Path, args: list[str]) -> float:
+def run_once(checkout: Path, args: list[str]) -> tuple[float, subprocess.CompletedProcess]:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     t0 = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "ruletypes.cli", *args], cwd=checkout, env=env,
-                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=False)
-    return time.perf_counter() - t0
+    done = subprocess.run([sys.executable, "-m", "ruletypes.cli", *args], cwd=checkout, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=False)
+    return time.perf_counter() - t0, done
+
+
+def fail(why: str, runs: dict[Path, subprocess.CompletedProcess]) -> NoReturn:
+    print(f"startup.py: {why}", file=sys.stderr)
+    for c, done in runs.items():
+        last = (done.stderr.splitlines() or ["(no stderr)"])[-1]
+        print(f"  {c}: exit {done.returncode}: {last}", file=sys.stderr)
+    sys.exit(1)
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -49,11 +63,18 @@ def main(argv: list[str] | None = None) -> None:
     args = shlex.split(opts.args)
 
     times: dict[Path, list[float]] = {c: [] for c in checkouts}
-    for c in checkouts:
-        run_once(c, args)
+    untimed = {c: run_once(c, args)[1] for c in checkouts}
+    codes = {done.returncode for done in untimed.values()}
+    if codes & {2, 3}:
+        fail("the command ran no rule (exit 2 or 3)", untimed)
+    if len(codes) > 1:
+        fail("the checkouts' exit codes differ", untimed)
     for _ in range(opts.runs):
         for c in checkouts:
-            times[c].append(run_once(c, args))
+            elapsed, done = run_once(c, args)
+            if done.returncode != untimed[c].returncode:
+                fail(f"a timed run's exit code differs from the untimed run's {untimed[c].returncode}", {c: done})
+            times[c].append(elapsed)
     print(f"{opts.runs} runs each of: python -m ruletypes.cli {' '.join(args)}")
     for c, ts in times.items():
         q1, median, q3 = statistics.quantiles(ts, n=4)

@@ -123,19 +123,20 @@ def _check(ctx: Context, e: Term, expected: DecoratedSort, out: list[Record], st
         _coerce(ctx, e, t, expected, out)
 
 
+def _check_match(ctx: Context, m: Match, out: list[Record]) -> None:
+    if not isinstance(m.at, DecoratedSort):
+        raise ValueError(f"checking needs a ground match annotation, got {m.at}")
+    within(".pattern", _check, ctx, m.pattern, m.at, out)
+    within(".subject", _check, ctx, m.subject, m.at, out)
+    out.append(("T-Match", m, WT, 2, None))
+
+
 def _check_cond(ctx: Context, c: Cond, out: list[Record]) -> None:
-    if isinstance(c, Match):
-        if not isinstance(c.at, DecoratedSort):
-            raise ValueError(f"checking needs a ground match annotation, got {c.at}")
-        within(".pattern", _check, ctx, c.pattern, c.at, out)
-        within(".subject", _check, ctx, c.subject, c.at, out)
-        out.append(("T-Match", c, WT, 2, None))
-    elif isinstance(c, Conj):
-        for i, member in enumerate(c.conds):
-            within(("[%d]", i), _check_cond, ctx, member, out)
-        out.append(("T-Conj", c, WT, len(c.conds), None))
-    else:
-        raise TypeError(f"unexpected condition {c!r}")
+    if not isinstance(c, Conj):
+        return _check_match(ctx, c, out)
+    for i, m in enumerate(c.conds):
+        within(("[%d]", i), _check_match, ctx, m, out)
+    out.append(("T-Conj", c, WT, len(c.conds), None))
 
 
 def _verdict(walk: Callable[..., None], *args) -> CheckOutcome:

@@ -357,7 +357,7 @@ def run(argv: list[str]) -> int:
         problems = [f"{name}:{d.pos}: check mode needs a ground typing for "
                     f"{d.name}{'*' if isinstance(d, SvarDecl) else ''}" for d in sf.fresh_marked]
         problems += [f"{name}:{d.pos}: check mode needs ground match annotations" for d in rules
-                     if any(m.at is None for m in getattr(d.rule.cond, "conds", [d.rule.cond]))]
+                     if any(m.at is None for m in d.rule.matches)]
     if problems:
         print("\n".join(problems), file=sys.stderr)
         return 3

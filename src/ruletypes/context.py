@@ -15,7 +15,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Union
 
 from .core import (
     ANY,
-    Conj,
     DecoratedSort,
     Decoration,
     ListApp,
@@ -414,8 +413,7 @@ def validate(ctx: Context, rules: Iterable[Rule] = ()) -> list[Violation]:
     named = [("variable {} typed", name, t, False) for name, t in ctx._var_types.items()]
     named += [("star variable {}* typed", name, t, True) for name, t in ctx._star_types.items()]
     named += [("match {0[0]} of rule {0[1]} annotated", (j, i), m.at, False)
-              for i, rule in enumerate(rules, start=1)
-              for j, m in enumerate(rule.cond.conds if rule.cond.__class__ is Conj else (rule.cond,), start=1)]
+              for i, rule in enumerate(rules, start=1) for j, m in enumerate(rule.matches, start=1)]
     for who, name, t, star in named:
         if t.__class__ is not DecoratedSort:
             continue  # a type variable, or a [?] left to inference

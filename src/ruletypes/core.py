@@ -303,27 +303,40 @@ class Match(Cond, Value):
 
 
 class Conj(Cond, Value):
-    """A conjunction of at least two conditions (single conditions stay bare)."""
+    """A conjunction of at least two matches, never nested (a single match stays bare)."""
 
-    conds: tuple[Cond, ...]
+    conds: tuple[Match, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "conds", tuple(self.conds))
         if len(self.conds) < 2:
             raise ValueError("a conjunction needs at least two conditions")
+        if not all(isinstance(c, Match) for c in self.conds):
+            raise ValueError("a conjunction joins matches only")
 
     def __str__(self) -> str:
         return " /\\ ".join(str(c) for c in self.conds)
 
 
+def conjoin(matches: Sequence[Match]) -> Cond:
+    """The condition of one or more matches: a single one bare, several conjoined."""
+    return matches[0] if len(matches) == 1 else Conj(matches)
+
+
 class Rule(Value):
-    """A rule ``cond -> (e1, ..., en)``; the action may be empty."""
+    """A rule ``cond -> (e1, ..., en)``; the action may be empty.  The
+    condition is one match or a :class:`Conj` of matches."""
 
     cond: Cond
     actions: tuple[Term, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "actions", tuple(self.actions))
+
+    @property
+    def matches(self) -> tuple[Match, ...]:
+        """The condition's matches, in order."""
+        return self.cond.conds if self.cond.__class__ is Conj else (self.cond,)
 
     def __str__(self) -> str:
         return f"{self.cond} -> ({', '.join(str(a) for a in self.actions)})"

@@ -79,7 +79,9 @@ def _names_in_order(rule: Rule) -> list[tuple[bool, str]]:
     # (is_star, name) pairs, first occurrence only, pattern before subject
     # before action: a walk in that order, with an explicit stack.
     seen: dict[tuple[bool, str], None] = {}
-    stack: list[Cond | Term] = [*reversed(rule.actions), rule.cond]
+    stack: list[Term] = [*reversed(rule.actions)]
+    for m in reversed(rule.matches):
+        stack += (m.subject, m.pattern)
     while stack:
         e = stack.pop()
         cls = e.__class__
@@ -87,10 +89,6 @@ def _names_in_order(rule: Rule) -> list[tuple[bool, str]]:
             seen.setdefault((cls is StarVar, e.name))
         elif cls is SynApp or cls is ListApp:
             stack.extend(reversed(e.args))
-        elif cls is Match:
-            stack += (e.subject, e.pattern)
-        elif cls is Conj:
-            stack.extend(reversed(e.conds))
     return list(seen)
 
 
@@ -159,23 +157,23 @@ def infer_term(ctx: Context, e: Term, fresh: FreshSupply) -> InferResult:
     return InferResult(within("term", _infer_term, ctx, e, fresh, out), out)
 
 
+def _infer_match(ctx: Context, m: Match, fresh: FreshSupply, out: list[Record]) -> Match:
+    # Returns the match with its annotation filled in.
+    annotation: TypeTerm = m.at if m.at is not None else fresh.fresh()
+    pat_var = within(".pattern", _infer_term, ctx, m.pattern, fresh, out)
+    sub_var = within(".subject", _infer_term, ctx, m.subject, fresh, out)
+    subject = Match(m.pattern, m.subject, annotation)
+    out.append(("CT-Match", subject, WT, 2, (Sub(pat_var, annotation), Eq(sub_var, annotation))))
+    return subject
+
+
 def _infer_cond(ctx: Context, c: Cond, fresh: FreshSupply, out: list[Record]) -> Cond:
     # Returns the condition with every match annotation filled in.
-    if isinstance(c, Match):
-        annotation: TypeTerm = c.at if c.at is not None else fresh.fresh()
-        pat_var = within(".pattern", _infer_term, ctx, c.pattern, fresh, out)
-        sub_var = within(".subject", _infer_term, ctx, c.subject, fresh, out)
-        subject = Match(c.pattern, c.subject, annotation)
-        out.append(("CT-Match", subject, WT, 2, (Sub(pat_var, annotation), Eq(sub_var, annotation))))
-        return subject
-
-    if isinstance(c, Conj):
-        subject = Conj(tuple([within(("[%d]", i), _infer_cond, ctx, member, fresh, out)
-                              for i, member in enumerate(c.conds)]))
-        out.append(("CT-Conj", subject, WT, len(c.conds), ()))
-        return subject
-
-    raise TypeError(f"unexpected condition {c!r}")
+    if not isinstance(c, Conj):
+        return _infer_match(ctx, c, fresh, out)
+    subject = Conj([within(("[%d]", i), _infer_match, ctx, m, fresh, out) for i, m in enumerate(c.conds)])
+    out.append(("CT-Conj", subject, WT, len(c.conds), ()))
+    return subject
 
 
 def infer_cond(ctx: Context, c: Cond, fresh: FreshSupply) -> InferResult:

@@ -10,7 +10,6 @@ import random
 
 from .context import Context, SynRank, VariadicRank, validate
 from .core import (
-    Cond,
     Conj,
     Constraint,
     ConstraintSet,
@@ -32,6 +31,7 @@ from .core import (
     Var,
     WtType,
     apply_subst,
+    conjoin,
     type_vars,
 )
 
@@ -357,30 +357,20 @@ def instantiate_for_check(ctx: Context, rule: Rule, subst: Substitution) -> tupl
         image = apply_subst(subst, tt)
         return image if isinstance(image, DecoratedSort) else universe[0]
 
-    def conv_cond(c: Cond) -> Cond:
-        if isinstance(c, Match):
-            if c.at is None:
-                raise ValueError("instantiation needs materialized annotations")
-            return Match(c.pattern, c.subject, ground(c.at))
-        return Conj(tuple(conv_cond(m) for m in c.conds))
-
+    if any(m.at is None for m in rule.matches):
+        raise ValueError("instantiation needs materialized annotations")
     ground_ctx = ctx.with_typings(
         var_types={name: ground(tt) for name, tt in ctx.var_types.items()},
         star_types={name: ground(tt) for name, tt in ctx.star_types.items()},
     )
-    return ground_ctx, Rule(conv_cond(rule.cond), rule.actions)
+    return ground_ctx, Rule(conjoin([Match(m.pattern, m.subject, ground(m.at)) for m in rule.matches]),
+                            rule.actions)
 
 
 def erase_annotations(rule: Rule) -> Rule:
     """Strip every match annotation so inference allocates fresh variables
     for them."""
-
-    def conv(c: Cond) -> Cond:
-        if isinstance(c, Match):
-            return Match(c.pattern, c.subject, None)
-        return Conj(tuple(conv(m) for m in c.conds))
-
-    return Rule(conv(rule.cond), rule.actions)
+    return Rule(conjoin([Match(m.pattern, m.subject, None) for m in rule.matches]), rule.actions)
 
 
 def strip_typings(ctx: Context) -> Context:
@@ -587,8 +577,7 @@ class _InstanceBuilder:
         rng, p = self.rng, self.params
         directed = rng.random() < p.directed
         make = self.directed_match if directed else self.noise_match
-        matches: list[Cond] = [make() for _ in range(rng.randint(1, max(1, p.max_conds)))]
-        cond: Cond = matches[0] if len(matches) == 1 else Conj(tuple(matches))
+        cond = conjoin([make() for _ in range(rng.randint(1, max(1, p.max_conds)))])
 
         actions: list[Term] = []
         names = list(self.var_types)

@@ -30,7 +30,6 @@ from typing import Union
 
 from .context import Context, SynRank, VariadicRank
 from .core import (
-    Conj,
     DecoratedSort,
     Decoration,
     ListApp,
@@ -42,6 +41,7 @@ from .core import (
     Term,
     Value,
     Var,
+    conjoin,
     interned,
 )
 
@@ -230,7 +230,7 @@ def _rule(tokens: list[str], i: int, lists: set[str]) -> tuple[Rule, int]:
             i += 1
         if tokens[i] != ")":
             raise _unexpected(tokens, i, ")")
-    return Rule(matches[0] if len(matches) == 1 else Conj(matches), tuple(actions)), i + 1
+    return Rule(conjoin(matches), tuple(actions)), i + 1
 
 
 def parse(source: str) -> SourceFile:

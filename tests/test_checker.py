@@ -12,6 +12,7 @@ from ruletypes import (
     Rule,
     StarVar,
     SynApp,
+    TypeVar,
     Var,
     WellTyped,
     check_cond,
@@ -170,6 +171,13 @@ def test_undeclared_action_variable(gamma_ex):
     rule = Rule(support.example_rule().cond, (Var("w"),))
     out = check_rule(gamma_ex, rule)
     assert isinstance(out, CheckErr) and out.kind is ErrKind.UNDECLARED_VARIABLE
+
+
+def test_a_type_variable_typing_needs_a_ground_one(gamma_ex):
+    ctx = gamma_ex.with_typings({**gamma_ex.var_types, "y": TypeVar(1)}, gamma_ex.star_types)
+    out = check_rule(ctx, support.example_rule())
+    assert str(out) == ("UndeclaredVariable at cond.pattern.arg[1]: "
+                        "y is typed by a type variable; checking needs a ground typing")
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,15 @@ def test_cli_sweep_matches_the_record(capsys, fixtures_dir):
     assert capsys.readouterr().out == (fixtures_dir / "golden" / "cli_sweep.txt").read_text("utf-8")
 
 
+def test_startup_timing_refuses_a_command_that_runs_no_rule(fixtures_dir):
+    # A file that cannot be read exits 2 before any rule runs: nothing worth timing.
+    root = fixtures_dir.parent.parent
+    done = subprocess.run([sys.executable, "scripts/startup.py", ".", "--runs", "2",
+                           "--args", "check no/such/file.rules"], cwd=root, capture_output=True, text=True)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.splitlines()[-1] == f"  {root.resolve()}: exit 2: no/such/file.rules: No such file or directory"
+
+
 # Files that name a ground type outside the universe (each declared sort at
 # ?, and each operator's own codomain): ill-formed signatures.  At N^l, y
 # lies below both Z^l and N^?, so the decorated order is no longer a forest.

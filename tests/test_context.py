@@ -11,7 +11,7 @@ import support
 from support import g
 
 from ruletypes import Context, ListApp, Sort, StarVar, SynApp, SynRank, Var, VariadicRank, dsort, validate
-from ruletypes.core import Conj, DecoratedSort, Decoration, Match, Rule
+from ruletypes.core import Conj, DecoratedSort, Decoration, Match, Rule, conjoin
 from ruletypes.oracle import ground_universe
 
 
@@ -266,7 +266,7 @@ def signatures_and_rules(draw):
     ctx = signature.with_typings(draw(st.dictionaries(st.sampled_from("xyz"), types, max_size=3)),
                                  draw(st.dictionaries(st.sampled_from("uvw"), types, max_size=2)))
     matches = [Match(Var("x"), Var("y"), at) for at in draw(st.lists(st.none() | types, min_size=1, max_size=3))]
-    return ctx, Rule(matches[0] if len(matches) == 1 else Conj(matches))
+    return ctx, Rule(conjoin(matches))
 
 
 @given(signatures_and_rules())

@@ -202,7 +202,7 @@ def test_wt_never_inside_constraints():
 def test_conjunction_needs_two_conditions():
     m = Match(Var("v"), Var("v"), None)
     assert Conj([m, m]).conds == (m, m)
-    for conds in ([], [m]):
+    for conds in ([], [m], [m, Conj([m, m])]):  # a conjunction joins matches only
         with pytest.raises(ValueError):
             Conj(conds)
 

@@ -127,8 +127,7 @@ def test_search_agrees_with_the_checker_on_generated_match_sides():
     lists = 0
     for seed in range(300):
         ctx, rule = gen_instance(seed)
-        conds = rule.cond.conds if isinstance(rule.cond, Conj) else (rule.cond,)
-        for match in conds:
+        for match in rule.matches:
             for side in (match.pattern, match.subject):
                 checked = isinstance(check_term(ctx, side, match.at), WellTyped)
                 assert checked == derivation_search(ctx, side, match.at), (seed, str(side), str(match.at))

@@ -74,6 +74,7 @@ def test_truncated_rule_is_positioned():
     ("vop l : Z   ", "unexpected end of line, expected '*'", 1, 13),
     ("rule x << [Z] x", "unexpected end of line, expected '->'", 1, 16),
     ("rule x << Z", "expected '[', found 'Z'", 1, 11),
+    ("rule x << [Z x -> ()", "expected ']', found 'x'", 1, 14),
     ("rule f(x << [Z] x -> ()", "expected ')', found '<<'", 1, 10),
     ("sort (", "expected a sort name, found '('", 1, 6),
     ("rule x << [Z^] x -> ()", "expected a decoration, found ']'", 1, 14),
